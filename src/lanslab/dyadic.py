@@ -10,8 +10,9 @@ with *bitwise* cancellation, so the partition of unity holds to machine
 zero for every lattice frequency |k| <= 2^J.
 
 The dyadic range is finite: fields are expected (or dealiased) to carry
-their spectrum inside the resolved annuli; a warning fires when a norm is
-requested for a field with appreciable content beyond the covered ball.
+their spectrum inside the resolved annuli; a warning fires, once per field,
+when a norm is requested for a field with appreciable content beyond the
+covered ball.
 """
 
 import math
@@ -72,7 +73,11 @@ class BesovIndex:
 class DyadicFamily:
     """Precomputed multiplier tables for one grid and dyadic range.
 
-    Immutable after construction; all methods are pure and thread-safe.
+    Immutable after construction.  The block operators are pure.  The
+    norms go through `block_lp_norms`, which memoizes its result on the
+    (immutable) field per (grid, j_max, p): later `besov_norm`,
+    `dyadic_norm` or `block_profile` calls on the same field at the same p
+    reuse it, and the coverage check runs once per field.
 
     Attributes
     ----------
@@ -158,12 +163,20 @@ class DyadicFamily:
             )
 
     def block_lp_norms(self, f, p):
-        """(low-pass L^p norm, per-block L^p norms as array of length j_max+1)."""
+        """(low-pass L^p norm, per-block L^p norms as a read-only array of
+        length j_max+1), memoized on `f`."""
         from .fields import lp_norm
 
-        self._warn_if_uncovered(to_spectral(f))
-        low, blocks = self.block_samples(f)
-        return lp_norm(low, p), np.array([lp_norm(b, p) for b in blocks])
+        memo = f._block_norms.setdefault((self.grid, self.j_max), {})
+        if p not in memo:
+            F = to_spectral(f)
+            if not memo:
+                self._warn_if_uncovered(F)
+            low, blocks = self.block_samples(F)
+            block_norms = np.array([lp_norm(b, p) for b in blocks])
+            block_norms.setflags(write=False)
+            memo[p] = (lp_norm(low, p), block_norms)
+        return memo[p]
 
     def dyadic_norm(self, f, idx, block_norms=None):
         """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""

@@ -4,6 +4,11 @@ A VectorField stores `ncomp` real components sampled on a Grid; velocity
 fields have ncomp == grid.n while scalar observables use ncomp == 1.  The
 spectral counterpart stores full complex Fourier coefficients in fft order,
 conjugate-symmetric whenever it represents a real field.
+
+Both kinds are immutable: frozen, with read-only arrays.  That makes it safe
+for `DyadicFamily.block_lp_norms` to memoize its per-block norms on the
+field object itself (the `_block_norms` slot, excluded from comparison and
+repr).
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +24,7 @@ from .grid import Grid, coordinates, dealias_mask, kmag
 class VectorField:
     grid: Grid
     data: np.ndarray  # (ncomp, N, ..., N), float64
+    _block_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -60,6 +66,7 @@ class VectorField:
 class SpectralField:
     grid: Grid
     coeffs: np.ndarray  # (ncomp, N, ..., N), complex128, fft order
+    _block_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.complex128))
@@ -159,10 +166,6 @@ def dealias_array(grid, data):
     mask = dealias_mask(grid)
     coeffs = _fft.fftn(data, grid.n) * mask
     return np.real(_fft.ifftn(coeffs, grid.n))
-
-
-def dealias_field(f):
-    return VectorField(f.grid, dealias_array(f.grid, f.data))
 
 
 # ----------------------------------------------------------------------

@@ -36,13 +36,6 @@ class MultiplierSymbol:
         object.__setattr__(self, "table", arr)
 
 
-def radial_symbol(grid, fn):
-    """Symbol depending only on |k|; `fn` is vectorized over radii."""
-    from .grid import kmag
-
-    return MultiplierSymbol(grid, fn(kmag(grid)))
-
-
 def laplacian_symbol(grid):
     return MultiplierSymbol(grid, -ksq(grid))
 

@@ -135,55 +135,63 @@ def picard_solve(u0, cfg, family=None):
     u0 = to_spectral(u0)
     t_bcast = out_times.reshape((-1,) + (1,) * (grid.n + 1))
     gamma = np.exp(-nu * t_bcast * k2[None, None]) * u0.coeffs[None]
+    weights = out_times**a
+
+    def spectra_of(states):
+        return (SpectralField(grid, c) for c in states)
 
     def fields_of(states):
-        return [to_real(SpectralField(grid, c)) for c in states]
+        return [to_real(F) for F in spectra_of(states)]
 
-    def mixed_norms(fields_list):
-        base = np.array([family.besov_norm(f, idx_base) for f in fields_list])
-        aux = np.array([family.besov_norm(f, idx_aux) for f in fields_list])
-        return base, aux
+    # norms are taken on the spectra held here, never on a physical round
+    # trip, one state at a time; norms of one SpectralField at equal p share
+    # its memoized block norms
+    def norms(states, *indices):
+        """One row of norms over the states per index."""
+        rows = [[family.besov_norm(F, i) for i in indices] for F in spectra_of(states)]
+        return np.array(rows).T
 
-    gamma_fields = fields_of(gamma)
-    _, gamma_aux = mixed_norms(gamma_fields)
-    weighted_gamma = float(np.max(out_times**a * gamma_aux))
+    (gamma_aux,) = norms(gamma, idx_aux)
+    weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
-    current = gamma.copy()
-    current_fields = gamma_fields
+    current = gamma
+    current_fields = fields_of(gamma)
     residuals, ratios, membership, membership_ok = [], [], [], []
     converged = False
     sweeps = 0
     for sweeps in range(1, pp.max_iter + 1):
         # forcing at the quadrature nodes (the last output time is T itself,
         # excluded from the node set)
-        node_fields = current_fields[:-1]
         forc = np.stack(
             [
-                to_spectral(stokes_project(nonlinearity_V(f, cfg.alpha), cfg.alpha)).coeffs
-                for f in node_fields
+                stokes_project(to_spectral(nonlinearity_V(f, cfg.alpha)), cfg.alpha).coeffs
+                for f in current_fields[:-1]
             ]
         ).reshape((tg.panels, tg.nodes_per_panel) + u0.coeffs.shape)
         correction = duhamel_on_nodes(forc, tg, nu, k2, out_times)
         updated = gamma - correction
-        updated_fields = fields_of(updated)
 
-        diff_fields = [fa - fb for fa, fb in zip(updated_fields, current_fields)]
-        diff_base, diff_aux = mixed_norms(diff_fields)
-        residual = float(np.max(diff_base) + np.max(out_times**a * diff_aux))
+        diff_base, diff_aux = norms(
+            (u - c for u, c in zip(updated, current)), idx_base, idx_aux
+        )
+        residual = float(np.max(diff_base) + np.max(weights * diff_aux))
         residuals.append(residual)
         if len(residuals) >= 2 and residuals[-2] > 0:
             ratios.append(residual / residuals[-2])
 
-        up_base = np.array(
-            [family.besov_norm(fa - fb, idx_base) for fa, fb in zip(updated_fields, gamma_fields)]
-        )
-        _, up_aux = mixed_norms(updated_fields)
-        mixed = float(np.max(up_base) + np.max(out_times**a * up_aux))
+        # in the first sweep current is gamma, so updated - gamma is the
+        # difference just measured
+        if current is gamma:
+            up_base = diff_base
+        else:
+            (up_base,) = norms((u - g for u, g in zip(updated, gamma)), idx_base)
+        (up_aux,) = norms(updated, idx_aux)
+        mixed = float(np.max(up_base) + np.max(weights * up_aux))
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
 
-        current, current_fields = updated, updated_fields
+        current, current_fields = updated, fields_of(updated)
         if residual <= pp.tol:
             converged = True
             break

@@ -97,7 +97,13 @@ class SolverConfig:
             raise ConfigError("need alpha >= 0 and nu > 0")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("need dt > 0 and T > 0")
-        Grid(self.n, self.N)  # validates n, N
+        grid = Grid(self.n, self.N)  # validates n, N
+        j_max = grid.max_dyadic_index
+        if self.initial.kind == "random_band" and not 0 <= self.initial.j <= j_max:
+            raise ConfigError(
+                f"initial.j={self.initial.j} is not a resolved annulus on N={self.N}: "
+                f"random_band needs 0 <= initial.j <= {j_max} (2^(j+1) <= N/2)"
+            )
 
     @property
     def grid(self):

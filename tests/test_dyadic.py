@@ -14,11 +14,14 @@ from lanslab.dyadic import (
     smooth_cutoff,
 )
 from lanslab.fields import (
+    VectorField,
     constant_field,
     fourier_mode,
     l2_norm,
     random_band_limited,
     random_band_mixture,
+    to_real,
+    to_spectral,
     zero_field,
 )
 from lanslab.grid import Grid, kmag
@@ -157,3 +160,57 @@ def test_norm_report_record(family3d):
     assert len(rec["per_block"]) == family3d.j_max + 1
     total = sum(v for _, v in rec["per_block"])
     assert rec["value"] <= total + family3d.besov_norm(f, BesovIndex(1.0, 2, 2))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, math.inf])
+def test_memoized_block_norms_match_fresh_field_bitwise(family2d, p):
+    f = random_band_mixture(family2d.grid, seed=21, ncomp=2)
+    first = family2d.block_lp_norms(f, p)
+    again = family2d.block_lp_norms(f, p)
+    fresh = family2d.block_lp_norms(VectorField(family2d.grid, f.data.copy()), p)
+    assert again is first
+    assert first[0] == fresh[0]
+    assert np.array_equal(first[1], fresh[1])
+    assert not first[1].flags.writeable
+
+
+def test_second_besov_index_at_same_p_makes_no_fft(family2d, monkeypatch):
+    from lanslab import _fft
+
+    f = random_band_mixture(family2d.grid, seed=22)
+    family2d.besov_norm(f, BesovIndex(1.0, 2, 2))
+    calls = []
+    original = _fft.ifftn
+    monkeypatch.setattr(_fft, "ifftn", lambda *a: calls.append(1) or original(*a))
+    family2d.besov_norm(f, BesovIndex(0.5, 2, math.inf))
+    family2d.dyadic_norm(f, BesovIndex(2.0, 2, 1))
+    family2d.block_profile(f, BesovIndex(1.5, 2, 2))
+    assert calls == []
+    family2d.besov_norm(f, BesovIndex(1.0, 3, 2))  # a new p does transform
+    assert calls
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, math.inf])
+def test_besov_norm_of_spectral_field_matches_real_field(family3d, p):
+    f = random_band_mixture(family3d.grid, seed=23, ncomp=3)
+    idx = BesovIndex(1.25, p, 2)
+    spectral = family3d.besov_norm(to_spectral(f), idx)
+    real = family3d.besov_norm(to_real(to_spectral(f)), idx)
+    assert spectral == pytest.approx(real, rel=1e-13)
+
+
+def test_coverage_warning_fires_once_per_field():
+    import warnings
+
+    grid = Grid(n=2, N=32)
+    fam = DyadicFamily(grid, j_max=2)  # covers only |k| <= 4
+    f = random_band_limited(grid, j=3, seed=1)
+    g = random_band_limited(grid, j=3, seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in (2, 3, math.inf):
+            fam.besov_norm(f, BesovIndex(1.0, p, 2))
+            fam.block_profile(f, BesovIndex(0.5, p, 2))
+        assert len(caught) == 1
+        fam.besov_norm(g, BesovIndex(1.0, 2, 2))
+        assert len(caught) == 2

@@ -120,3 +120,11 @@ def test_gradient_tensor_shear(grid3d):
     assert np.allclose(jac[0, 1], np.cos(y), atol=1e-12)
     others = [jac[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 1)]
     assert max(np.max(np.abs(o)) for o in others) < 1e-12
+
+
+def test_stokes_commutes_with_forward_transform(grid3d):
+    v = random_band_mixture(grid3d, seed=31, ncomp=3)
+    spectral_first = stokes_project(to_spectral(v), 0.7).coeffs
+    real_first = to_spectral(stokes_project(v, 0.7)).coeffs
+    scale = np.max(np.abs(real_first))
+    assert np.max(np.abs(spectral_first - real_first)) <= 1e-14 * scale

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -50,6 +51,23 @@ def test_config_from_dict_roundtrip():
         config_from_dict({"picard": {"bogus": 1}})
     with pytest.raises(ConfigError):
         config_from_dict({"picard": {"tol": -1.0}})
+
+
+def test_random_band_index_checked_against_grid(tmp_path):
+    from lanslab.cli import main
+
+    with pytest.raises(ConfigError, match=r"initial\.j=3.*<= 2"):
+        SolverConfig(N=16, initial=InitialSpec("random_band", 0.1, j=3))
+    with pytest.raises(ConfigError, match=r"initial\.j"):
+        SolverConfig(N=16, initial=InitialSpec("random_band", 0.1, j=-1))
+    SolverConfig(N=16, initial=InitialSpec("random_band", 0.1, j=2))
+    SolverConfig(N=16, initial=InitialSpec("taylor_green", 0.1, j=3))  # j unused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"N": 16, "T": 0.01, "dt": 0.005,
+         "initial": {"kind": "random_band", "amplitude": 0.1, "j": 3}}
+    ))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_zero_data_stays_zero():
