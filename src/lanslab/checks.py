@@ -10,11 +10,16 @@ independence.  Checks reject parameter tuples outside the validity region
 of their estimate with a structured ParameterGateError; a rejection is
 never a silent pass.
 
-Each public check has a string id in CHECKS and is runnable from a params
-dict (the CLI suite format); dynamic checks build their own solver runs
-from the params so suites are self-contained.
+Each public check has a string id in CHECKS, and its signature is its
+parameter spec: a check on a grid takes the grid first (built from `n`
+and `N`), then keyword-only parameters typed by their defaults.  run_check
+reads a params dict (the CLI suite format) against that spec and rejects
+unknown keys, missing required keys and mistyped values with a
+ConfigError.  Dynamic checks take the run table of `_run_trajectory` as
+`**run` and build their own solver runs, so suites are self-contained.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -23,7 +28,7 @@ from scipy.integrate import simpson
 
 from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
-from .errors import ParameterGateError
+from .errors import ConfigError, ParameterGateError
 from .fields import (
     embed_to,
     l2_norm,
@@ -43,19 +48,19 @@ from .paraproduct import (
     remainder_R,
 )
 from .quadrature import duhamel_on_nodes, make_time_grid
-from .solver import InitialSpec, SolverConfig, Trajectory, solve_ivp
+from .solver import InitialSpec, SolverConfig, Trajectory, expect_type, solve_ivp
 from .timenorms import ct_norm, lsigma_norm
 
 
 @dataclass
 class CheckReport:
-    check_id: str
-    params: dict
     ensemble: int
     ratios: list
     max_ratio: float
     passed: bool
     details: dict = dc_field(default_factory=dict)
+    check_id: str = ""  # check_id and params are filled in by run_check
+    params: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
         def clean(x):
@@ -82,10 +87,6 @@ class CheckReport:
         }
 
 
-def _grid(params, default_n=3, default_N=32):
-    return Grid(int(params.get("n", default_n)), int(params.get("N", default_N)))
-
-
 def _finite_max(ratios):
     arr = [r for r in ratios if r is not None]
     return max(arr) if arr else 0.0
@@ -102,16 +103,13 @@ def _scale_stable(per_scale, factor=10.0):
 # static identities (dyadic calculus)
 
 
-def check_partition_of_unity(params):
-    grid = _grid(params)
-    fam = build_dyadic_family(grid, params.get("j_max"))
+def check_partition_of_unity(grid, *, j_max: int | None = None):
+    fam = build_dyadic_family(grid, j_max)
     km = kmag(grid)
     total = fam.low_hat + fam.psi_hat.sum(axis=0)
     covered = km <= 2.0**fam.j_max
     defect = float(np.max(np.abs(total[covered] - 1.0)))
     return CheckReport(
-        "partition_of_unity",
-        params,
         ensemble=int(covered.sum()),
         ratios=[defect],
         max_ratio=defect,
@@ -120,11 +118,8 @@ def check_partition_of_unity(params):
     )
 
 
-def check_support_orthogonality(params):
-    grid = _grid(params)
+def check_support_orthogonality(grid, *, trials=20, seed=0):
     fam = build_dyadic_family(grid)
-    trials = int(params.get("trials", 20))
-    seed = int(params.get("seed", 0))
     worst = 0.0
     for t in range(trials):
         f = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
@@ -133,22 +128,12 @@ def check_support_orthogonality(params):
             for m in range(fam.j_max + 1):
                 if abs(j - m) >= 2:
                     worst = max(worst, l2_norm(fam.delta_j(fam.delta_j(f, m), j)) / nf)
-    return CheckReport(
-        "support_orthogonality",
-        params,
-        trials,
-        [worst],
-        worst,
-        worst <= 1e-12,
-    )
+    return CheckReport(trials, [worst], worst, worst <= 1e-12)
 
 
-def check_support_product_low(params):
+def check_support_product_low(grid, *, trials=10, seed=0):
     """Block image of S_{k-3} f Delta_k g vanishes for |j-k| >= 3."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    trials = int(params.get("trials", 10))
-    seed = int(params.get("seed", 0))
     worst = 0.0
     for t in range(trials):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 1)
@@ -159,17 +144,12 @@ def check_support_product_low(params):
             for j in range(fam.j_max + 1):
                 if abs(j - k) >= 3:
                     worst = max(worst, l2_norm(fam.delta_j(prod, j)) / scale)
-    return CheckReport(
-        "support_product_low", params, trials, [worst], worst, worst <= 1e-10
-    )
+    return CheckReport(trials, [worst], worst, worst <= 1e-10)
 
 
-def check_support_product_high(params):
+def check_support_product_high(grid, *, trials=10, seed=0):
     """Delta_j(Delta_m f Delta_i g) vanishes for |i-m| <= 1, j > m + 3."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    trials = int(params.get("trials", 10))
-    seed = int(params.get("seed", 0))
     worst = 0.0
     tested = 0
     for t in range(trials):
@@ -183,8 +163,6 @@ def check_support_product_high(params):
                     tested += 1
                     worst = max(worst, l2_norm(fam.delta_j(prod, j)) / scale)
     return CheckReport(
-        "support_product_high",
-        params,
         trials,
         [worst],
         worst,
@@ -193,11 +171,8 @@ def check_support_product_high(params):
     )
 
 
-def check_paraproduct_reconstruction(params):
-    grid = _grid(params)
+def check_paraproduct_reconstruction(grid, *, pairs=20, seed=0):
     fam = build_dyadic_family(grid)
-    pairs = int(params.get("pairs", 20))
-    seed = int(params.get("seed", 0))
     defects = []
     for t in range(pairs):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 1)
@@ -208,16 +183,11 @@ def check_paraproduct_reconstruction(params):
         )
         defects.append(l2_norm(fg - total) / l2_norm(fg))
     worst = _finite_max(defects)
-    return CheckReport(
-        "paraproduct_reconstruction", params, pairs, defects, worst, worst <= 1e-8
-    )
+    return CheckReport(pairs, defects, worst, worst <= 1e-8)
 
 
-def check_block_decomposition(params):
-    grid = _grid(params)
+def check_block_decomposition(grid, *, pairs=10, seed=0):
     fam = build_dyadic_family(grid)
-    pairs = int(params.get("pairs", 10))
-    seed = int(params.get("seed", 0))
     defects = []
     for t in range(pairs):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 1)
@@ -231,23 +201,17 @@ def check_block_decomposition(params):
             ti, tii, tiii = decompose_product_block(fam, f, g, j)
             defects.append(l2_norm(target - (ti + tii + tiii)) / ref)
     worst = _finite_max(defects)
-    return CheckReport(
-        "block_decomposition", params, pairs, defects, worst, worst <= 1e-8
-    )
+    return CheckReport(pairs, defects, worst, worst <= 1e-8)
 
 
-def check_bony_bounds(params):
+def check_bony_bounds(grid, *, pairs=10, seed=0, p=2.0):
     """Empirical constants for the three block-product bounds, per scale.
 
     Each dyadic scale is probed with the same local structure (a broadband
     field against one concentrated near the probed annulus), so a scale-
     independent constant shows up as ratios within a factor 10 across j.
     """
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    pairs = int(params.get("pairs", 10))
-    seed = int(params.get("seed", 0))
-    p = float(params.get("p", 2))
     ratios = []
     per_scale = {}
     for j in range(fam.j_max + 1):
@@ -268,8 +232,6 @@ def check_bony_bounds(params):
     worst = _finite_max(ratios)
     stable = _scale_stable(list(per_scale.values()))
     return CheckReport(
-        "bony_bounds",
-        params,
         pairs,
         ratios,
         worst,
@@ -278,14 +240,12 @@ def check_bony_bounds(params):
     )
 
 
-def check_k2_tail(params):
+def check_k2_tail(*, r: float, k_max=60):
     """Convergence proxy for the high-frequency tail sum of 2^{k(2-r)}.
 
     Predicts convergence for r > 2 and divergence for r <= 2; the check
     passes when the partial sums behave as predicted for the given r.
     """
-    r = float(params["r"])
-    k_max = int(params.get("k_max", 60))
     ks = np.arange(-2, k_max + 1)
     terms = 2.0 ** (ks * (2.0 - r))
     partial = np.cumsum(terms)
@@ -296,8 +256,6 @@ def check_k2_tail(params):
     else:
         ok = growth > 100.0
     return CheckReport(
-        "k2_tail",
-        params,
         len(ks),
         [float(partial[-1])],
         float(partial[-1]),
@@ -314,23 +272,19 @@ def check_k2_tail(params):
 # norm inequalities
 
 
-def check_embedding(params):
+def check_embedding(
+    grid, *, trials=20, seed=0, p=2.0, beta1=0.5, beta2=1.5, q1=1.0, q2=2.0, s=1.0,
+    emb_p1=2.0, emb_p2=4.0, gamma2=0.5,
+):
     """Monotonicity embeddings: lower smoothness / higher summability are
     weaker norms, Bernstein trades integrability for regularity, and the
     L^p norm sits below every positive-smoothness Besov norm."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    trials = int(params.get("trials", 20))
-    seed = int(params.get("seed", 0))
-    p = float(params.get("p", 2))
-    beta1, beta2 = float(params.get("beta1", 0.5)), float(params.get("beta2", 1.5))
-    q1, q2 = float(params.get("q1", 1)), float(params.get("q2", 2))
-    s = float(params.get("s", 1.0))
-    p1, p2 = float(params.get("emb_p1", 2)), float(params.get("emb_p2", 4))
-    gamma2 = float(params.get("gamma2", 0.5))
+    p1, p2 = emb_p1, emb_p2
     if not (q1 <= q2 and beta1 <= beta2 and p1 <= p2):
         raise ParameterGateError(
-            "embedding", "q1 <= q2, beta1 <= beta2, p1 <= p2", params
+            "embedding", "q1 <= q2, beta1 <= beta2, p1 <= p2",
+            {"q1": q1, "q2": q2, "beta1": beta1, "beta2": beta2, "emb_p1": p1, "emb_p2": p2},
         )
     gamma1 = gamma2 + grid.n * (1.0 / p1 - 1.0 / p2)
     ratios_smooth, ratios_lp, ratios_integrability = [], [], []
@@ -350,8 +304,6 @@ def check_embedding(params):
         _finite_max(ratios_integrability),
     )
     return CheckReport(
-        "embedding",
-        params,
         trials,
         ratios_smooth,
         worst,
@@ -364,17 +316,12 @@ def check_embedding(params):
     )
 
 
-def check_bernstein(params):
+def check_bernstein(
+    grid, *, trials=10, seed=0, p=2.0, q=2.0, order=1.0, j_lo=1, j_hi: int | None = None
+):
     """Two-sided Bernstein equivalence on dyadic annuli."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    trials = int(params.get("trials", 10))
-    seed = int(params.get("seed", 0))
-    p = float(params.get("p", 2))
-    q = float(params.get("q", 2))
-    order = float(params.get("order", 1.0))
-    j_lo = int(params.get("j_lo", 1))
-    j_hi = int(params.get("j_hi", fam.j_max))
+    j_hi = fam.j_max if j_hi is None else j_hi
     if p > q:
         raise ParameterGateError("bernstein", "p <= q", {"p": p, "q": q})
     n = grid.n
@@ -399,8 +346,6 @@ def check_bernstein(params):
     mode = fourier_mode(grid, kvec)
     exact = lp_norm(lambda_power(mode, 1.0).data, 2) / (2.0**j_lo * lp_norm(mode, 2))
     return CheckReport(
-        "bernstein",
-        params,
         trials * (j_hi - j_lo + 1),
         ratios,
         worst,
@@ -420,25 +365,20 @@ def _heat_weight_profile(fam, u, s0, p0, s1, p1, q, t_grid, nu=1.0):
     return sigma, np.array(prof)
 
 
-def check_heat_smoothing(params):
+def check_heat_smoothing(
+    grid, *, s0=1.0, s1=2.0, p0=2.0, p1=2.0, q=2.0, trials=10, seed=0,
+    t_grid: list[float] | None = None,
+):
     """Weighted smoothing bound t^{sigma/2}||e^{t Lap}u||_{s1,p1,q} <= C||u||_{s0,p0,q}
     plus the vanishing of the weighted norm as t -> 0 when sigma > 0."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 2.0))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 10))
-    seed = int(params.get("seed", 0))
     if not (p0 <= p1):
         raise ParameterGateError("heat_smoothing", "p0 <= p1", {"p0": p0, "p1": p1})
     if not (s0 <= s1):
         raise ParameterGateError("heat_smoothing", "s0 <= s1", {"s0": s0, "s1": s1})
     if math.isinf(p1) or math.isinf(q):
-        raise ParameterGateError("heat_smoothing", "p1, q finite", params)
-    t_grid = np.asarray(
-        params.get("t_grid", np.logspace(-4, 0, 25)), dtype=float
-    )
+        raise ParameterGateError("heat_smoothing", "p1, q finite", {"p1": p1, "q": q})
+    t_grid = np.asarray(np.logspace(-4, 0, 25) if t_grid is None else t_grid, dtype=float)
     ratios, decay_ok = [], True
     sigma = None
     for t in range(trials):
@@ -456,8 +396,6 @@ def check_heat_smoothing(params):
     else:
         passed = math.isfinite(worst) and decay_ok
     return CheckReport(
-        "heat_smoothing",
-        params,
         trials,
         ratios,
         worst,
@@ -466,16 +404,9 @@ def check_heat_smoothing(params):
     )
 
 
-def check_product(params):
+def check_product(grid, *, s=1.6, p=2.0, p1=3.0, q=2.0, trials=100, seed=0, refine=False):
     """Squared-field product estimate ||u^2||_{s,p,q} <= C ||u||^2_{s,p1,q}."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s = float(params.get("s", 1.6))
-    p = float(params.get("p", 2))
-    p1 = float(params.get("p1", 3))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 100))
-    seed = int(params.get("seed", 0))
     n = grid.n
     if not (p < p1 <= 2 * p):
         raise ParameterGateError("product", "p < p1 <= 2p", {"p": p, "p1": p1})
@@ -499,7 +430,7 @@ def check_product(params):
     ratios = run(grid, fam)
     worst = _finite_max(ratios)
     details = {}
-    if params.get("refine", False):
+    if refine:
         fine = Grid(grid.n, grid.N * 2)
         fam_fine = build_dyadic_family(fine, fam.j_max)
         fine_ratios = []
@@ -517,8 +448,6 @@ def check_product(params):
     else:
         stable = True
     return CheckReport(
-        "product",
-        params,
         trials,
         ratios,
         worst,
@@ -527,23 +456,18 @@ def check_product(params):
     )
 
 
-def check_moser(params):
+def check_moser(grid, *, s=1.5, p=1.0, p1=2.0, p2=2.0, r1=2.0, r2=2.0, q=2.0, trials=50, seed=0):
     """Fractional Leibniz bound for a product of two fields."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s = float(params.get("s", 1.5))
-    p = float(params.get("p", 1))
-    p1, p2 = float(params.get("p1", 2)), float(params.get("p2", 2))
-    r1, r2 = float(params.get("r1", 2)), float(params.get("r2", 2))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 50))
-    seed = int(params.get("seed", 0))
     if s <= 0:
         raise ParameterGateError("moser", "s > 0", {"s": s})
     if abs(1.0 / p - (1.0 / p1 + 1.0 / p2)) > 1e-12 or abs(
         1.0 / p - (1.0 / r1 + 1.0 / r2)
     ) > 1e-12:
-        raise ParameterGateError("moser", "1/p = 1/p1 + 1/p2 = 1/r1 + 1/r2", params)
+        raise ParameterGateError(
+            "moser", "1/p = 1/p1 + 1/p2 = 1/r1 + 1/r2",
+            {"p": p, "p1": p1, "p2": p2, "r1": r1, "r2": r2},
+        )
     ratios = []
     for t in range(trials):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 2)
@@ -554,7 +478,7 @@ def check_moser(params):
         ) * fam.besov_norm(f, BesovIndex(s, r2, q))
         ratios.append(lhs / rhs)
     worst = _finite_max(ratios)
-    return CheckReport("moser", params, trials, ratios, worst, math.isfinite(worst))
+    return CheckReport(trials, ratios, worst, math.isfinite(worst))
 
 
 def _tau_gate(check_id, n, r, p, p_bar, q):
@@ -572,17 +496,11 @@ def _tau_gate(check_id, n, r, p, p_bar, q):
     return s_bar
 
 
-def check_tau(params):
+def check_tau(
+    grid, *, r=2.6, p=2.0, p_bar=2.0, q=2.0, alpha=1.0, trials=100, seed=0, refine=False
+):
     """Quadratic stress bound ||div tau(u)||_{r,p_bar,q} <= C ||u||^2_{r,p,q}."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    r = float(params.get("r", 2.6))
-    p = float(params.get("p", 2))
-    p_bar = float(params.get("p_bar", 2))
-    q = float(params.get("q", 2))
-    alpha = float(params.get("alpha", 1.0))
-    trials = int(params.get("trials", 100))
-    seed = int(params.get("seed", 0))
     s_bar = _tau_gate("tau", grid.n, r, p, p_bar, q)
     idx_out, idx_in = BesovIndex(r, p_bar, q), BesovIndex(r, p, q)
 
@@ -602,7 +520,7 @@ def check_tau(params):
     worst = _finite_max(ratios)
     details = {"s_bar": s_bar}
     stable = True
-    if params.get("refine", False):
+    if refine:
         fine = Grid(grid.n, grid.N * 2)
         fam_fine = build_dyadic_family(fine, fam.j_max)
         fine_ratios = []
@@ -615,8 +533,6 @@ def check_tau(params):
         details["refinement_factor"] = factor
         stable = 0.5 <= factor <= 2.0
     return CheckReport(
-        "tau",
-        params,
         len(ratios),
         ratios,
         worst,
@@ -629,26 +545,22 @@ def check_tau(params):
 # dynamic checks (run on trajectories)
 
 
-def _run_from_params(params):
+def _run_trajectory(
+    grid, *, alpha=1.0, nu=1.0, T=0.5, dt=2e-3, seed=0, initial_kind="taylor_green",
+    amplitude=0.1, band_j=1, sample_stride: int | None = None,
+):
+    """The solver run a dynamic check is made on; its keyword-only
+    arguments are the run parameters every dynamic check takes."""
     cfg = SolverConfig(
-        n=int(params.get("n", 3)),
-        N=int(params.get("N", 32)),
-        alpha=float(params.get("alpha", 1.0)),
-        nu=float(params.get("nu", 1.0)),
-        T=float(params.get("T", 0.5)),
-        dt=float(params.get("dt", 2e-3)),
-        seed=int(params.get("seed", 0)),
-        initial=InitialSpec(
-            params.get("initial_kind", "taylor_green"),
-            float(params.get("amplitude", 0.1)),
-            int(params.get("band_j", 1)),
-        ),
+        n=grid.n, N=grid.N, alpha=alpha, nu=nu, T=T, dt=dt, seed=seed,
+        initial=InitialSpec(initial_kind, amplitude, band_j),
     )
-    stride = int(params.get("sample_stride", max(1, int(round(cfg.T / cfg.dt)) // 50)))
-    return cfg, solve_ivp(cfg.initial_field(), cfg, sample_stride=stride)
+    if sample_stride is None:
+        sample_stride = max(1, int(round(cfg.T / cfg.dt)) // 50)
+    return cfg, solve_ivp(cfg.initial_field(), cfg, sample_stride=sample_stride)
 
 
-def energy_monotone_report(traj, alpha, dt, c_tol=10.0, params=None):
+def energy_monotone_report(traj, alpha, dt, c_tol=10.0):
     """Discrete energy decay plus the low-pass vs H^{1,2} domination."""
     energy = traj.series["energy"]
     tol = c_tol * dt**4 * energy[:-1]
@@ -667,8 +579,6 @@ def energy_monotone_report(traj, alpha, dt, c_tol=10.0, params=None):
             margin = min(margin, h12 - low)
     passed = monotone and psi_ok
     return CheckReport(
-        "energy_monotone",
-        params or {},
         len(energy),
         [worst_violation],
         worst_violation,
@@ -681,15 +591,13 @@ def energy_monotone_report(traj, alpha, dt, c_tol=10.0, params=None):
     )
 
 
-def check_energy_monotone(params):
-    cfg, traj = _run_from_params(params)
+def check_energy_monotone(grid, *, c_tol=10.0, **run):
+    cfg, traj = _run_trajectory(grid, **run)
     dt_eff = cfg.T / max(1, int(round(cfg.T / cfg.dt)))
-    return energy_monotone_report(
-        traj, cfg.alpha, dt_eff, float(params.get("c_tol", 10.0)), params
-    )
+    return energy_monotone_report(traj, cfg.alpha, dt_eff, c_tol)
 
 
-def gronwall_report(traj, r, q, n, params=None):
+def gronwall_report(traj, r, q, n):
     """Implied constant in the differential inequality for the dyadic norm."""
     if not r > 2:
         raise ParameterGateError("gronwall_differential", "r > 2", {"r": r})
@@ -708,8 +616,6 @@ def gronwall_report(traj, r, q, n, params=None):
             implied.append(max(lhs, 0.0) / rhs)
     worst = _finite_max(implied)
     return CheckReport(
-        "gronwall_differential",
-        params or {},
         len(implied),
         implied,
         worst,
@@ -718,15 +624,12 @@ def gronwall_report(traj, r, q, n, params=None):
     )
 
 
-def check_gronwall_differential(params):
-    _, traj = _run_from_params(params)
-    return gronwall_report(
-        traj, float(params.get("r", 2.5)), float(params.get("q", 2)),
-        int(params.get("n", 3)), params,
-    )
+def check_gronwall_differential(grid, *, r=2.5, q=2.0, **run):
+    _, traj = _run_trajectory(grid, **run)
+    return gronwall_report(traj, r, q, grid.n)
 
 
-def apriori_report(traj, r, q, n, params=None):
+def apriori_report(traj, r, q, n):
     """Implied Gronwall constant in the exponential a priori bound."""
     if not r > 2:
         raise ParameterGateError("apriori_bound", "r > 2", {"r": r})
@@ -745,8 +648,6 @@ def apriori_report(traj, r, q, n, params=None):
             c_profile.append(math.log(norm_r[i] / norm_r[0]) / integral)
     sup_c = max(c_profile) if c_profile else 0.0
     return CheckReport(
-        "apriori_bound",
-        params or {},
         len(c_profile),
         c_profile,
         sup_c,
@@ -755,12 +656,9 @@ def apriori_report(traj, r, q, n, params=None):
     )
 
 
-def check_apriori_bound(params):
-    _, traj = _run_from_params(params)
-    return apriori_report(
-        traj, float(params.get("r", 2.5)), float(params.get("q", 2)),
-        int(params.get("n", 3)), params,
-    )
+def check_apriori_bound(grid, *, r=2.5, q=2.0, **run):
+    _, traj = _run_trajectory(grid, **run)
+    return apriori_report(traj, r, q, grid.n)
 
 
 # ----------------------------------------------------------------------
@@ -772,48 +670,41 @@ def _semigroup_trajectory(grid, u0, T, nsamples, nu=1.0):
     return Trajectory(times=ts, fields=[semigroup_apply(u0, t, nu) for t in ts])
 
 
-def check_gamma_ct(params):
+def check_gamma_ct(grid, *, s0=1.0, s1=2.0, p0=2.0, p1=2.0, q=2.0, T=1.0, trials=5, seed=0):
     """Weighted-sup mapping bound for the semigroup trajectory."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 2.0))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
     if not (p0 <= p1 and s0 <= s1):
-        raise ParameterGateError("gamma_ct", "s0 <= s1 and p0 <= p1", params)
+        raise ParameterGateError(
+            "gamma_ct", "s0 <= s1 and p0 <= p1", {"s0": s0, "s1": s1, "p0": p0, "p1": p1}
+        )
     sigma = (s1 - s0) + grid.n * (1.0 / p0 - 1.0 / p1)
     ratios = []
     for t in range(trials):
         u0 = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        traj = _semigroup_trajectory(grid, u0, float(params.get("T", 1.0)), 33)
+        traj = _semigroup_trajectory(grid, u0, T, 33)
         ratios.append(
             ct_norm(traj, sigma / 2.0, BesovIndex(s1, p1, q), fam)
             / fam.besov_norm(u0, BesovIndex(s0, p0, q))
         )
     worst = _finite_max(ratios)
     return CheckReport(
-        "gamma_ct", params, trials, ratios, worst, math.isfinite(worst),
+        trials, ratios, worst, math.isfinite(worst),
         details={"sigma": sigma},
     )
 
 
-def check_gamma_lsigma(params):
+def check_gamma_lsigma(
+    grid, *, s0=1.0, s1=2.0, p0=2.0, p1=2.0, q=2.0, T=4.0, trials=5, seed=0
+):
     """Integral-in-time mapping bound for the semigroup trajectory."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 2.0))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
     if not (1 < p0 <= p1 < math.inf):
-        raise ParameterGateError("gamma_lsigma", "1 < p0 <= p1 < inf", params)
+        raise ParameterGateError("gamma_lsigma", "1 < p0 <= p1 < inf", {"p0": p0, "p1": p1})
     inv_sigma = ((s1 - s0) + grid.n * (1.0 / p0 - 1.0 / p1)) / 2.0
     if not 0 < inv_sigma:
         raise ParameterGateError(
-            "gamma_lsigma", "(s1 - s0 + n/p0 - n/p1)/2 > 0", params
+            "gamma_lsigma", "(s1 - s0 + n/p0 - n/p1)/2 > 0",
+            {"s0": s0, "s1": s1, "p0": p0, "p1": p1},
         )
     sigma = 1.0 / inv_sigma
     if sigma < 1:
@@ -821,14 +712,14 @@ def check_gamma_lsigma(params):
     ratios = []
     for t in range(trials):
         u0 = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        traj = _semigroup_trajectory(grid, u0, float(params.get("T", 4.0)), 65)
+        traj = _semigroup_trajectory(grid, u0, T, 65)
         ratios.append(
             lsigma_norm(traj, sigma, BesovIndex(s1, p1, q), fam)
             / fam.besov_norm(u0, BesovIndex(s0, p0, q))
         )
     worst = _finite_max(ratios)
     return CheckReport(
-        "gamma_lsigma", params, trials, ratios, worst, math.isfinite(worst),
+        trials, ratios, worst, math.isfinite(worst),
         details={"sigma": sigma},
     )
 
@@ -849,17 +740,12 @@ def _duhamel_of_weighted_forcing(grid, w, k0, tg, nu=1.0):
     return Trajectory(times=out_times, fields=fields)
 
 
-def check_duhamel_ct(params):
+def check_duhamel_ct(
+    grid, *, s0=1.0, s1=1.5, p0=2.0, p1=2.0, q=2.0, k0=0.75, T=1.0, trials=5, seed=0
+):
     """Weighted-sup mapping bound for the heat convolution under a
     singular-in-time forcing t^{-k0} w."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 1.5))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    k0 = float(params.get("k0", 0.75))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
     sigma = (s1 - s0) + grid.n * (1.0 / p0 - 1.0 / p1)
     if not (0 < sigma / 2.0 < 1):
         raise ParameterGateError("duhamel_ct", "0 < sigma/2 < 1", {"sigma": sigma})
@@ -871,7 +757,7 @@ def check_duhamel_ct(params):
             "duhamel_ct", "k0 + sigma/2 - 1 >= 0 (weighted sup needs a >= 0)",
             {"k1": k1},
         )
-    tg = make_time_grid(float(params.get("T", 1.0)), 12, 4, grading=3.0)
+    tg = make_time_grid(T, 12, 4, grading=3.0)
     ratios = []
     for t in range(trials):
         w = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
@@ -883,22 +769,16 @@ def check_duhamel_ct(params):
         )
     worst = _finite_max(ratios)
     return CheckReport(
-        "duhamel_ct", params, trials, ratios, worst, math.isfinite(worst),
+        trials, ratios, worst, math.isfinite(worst),
         details={"sigma": sigma, "k1": k1},
     )
 
 
-def check_duhamel_lsigma(params):
+def check_duhamel_lsigma(
+    grid, *, s0=1.0, s1=2.5, p0=2.0, p1=2.0, q=2.0, sigma0=2.0, T=1.0, trials=5, seed=0
+):
     """L^{sigma0} -> L^{sigma1} mapping bound for the heat convolution."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 2.5))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    sigma0 = float(params.get("sigma0", 2.0))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
-    T = float(params.get("T", 1.0))
     heat = (s1 - s0 + grid.n * (1.0 / p0 - 1.0 / p1)) / 2.0
     inv_sigma1 = 1.0 / sigma0 - (1.0 - heat)
     if not (inv_sigma1 > 0 and sigma0 > 1):
@@ -931,21 +811,14 @@ def check_duhamel_lsigma(params):
         )
     worst = _finite_max(ratios)
     return CheckReport(
-        "duhamel_lsigma", params, trials, ratios, worst, math.isfinite(worst),
+        trials, ratios, worst, math.isfinite(worst),
         details={"sigma1": sigma1},
     )
 
 
-def check_duhamel_bc(params):
+def check_duhamel_bc(grid, *, s0=1.0, s1=1.5, p0=2.0, p1=2.0, q=2.0, T=1.0, trials=5, seed=0):
     """Sup-in-time bound for the heat convolution of an L^sigma forcing."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s0, s1 = float(params.get("s0", 1.0)), float(params.get("s1", 1.5))
-    p0, p1 = float(params.get("p0", 2)), float(params.get("p1", 2))
-    q = float(params.get("q", 2))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
-    T = float(params.get("T", 1.0))
     heat = (s1 - s0 + grid.n * (1.0 / p0 - 1.0 / p1)) / 2.0
     inv_sigma = 1.0 - heat
     if not inv_sigma > 0:
@@ -969,27 +842,20 @@ def check_duhamel_bc(params):
         ratios.append(sup_val / lsigma_norm(forcing, sigma, BesovIndex(s0, p0, q), fam))
     worst = _finite_max(ratios)
     return CheckReport(
-        "duhamel_bc", params, trials, ratios, worst, math.isfinite(worst),
+        trials, ratios, worst, math.isfinite(worst),
         details={"sigma": sigma},
     )
 
 
-def check_v_alpha_ct(params):
+def check_v_alpha_ct(
+    grid, *, s=2.6, p=2.0, p_bar=2.0, q=2.0, a=0.25, alpha=1.0, T=0.5, trials=5, seed=0
+):
     """Quadratic weighted-sup bound for the nonlinearity along semigroup
     trajectories: ||V(u)||_{2a; s-1, p_bar, q} <= C ||u||^2_{a; s, p, q}."""
-    grid = _grid(params)
     fam = build_dyadic_family(grid)
-    s = float(params.get("s", 2.6))
-    p = float(params.get("p", 2))
-    p_bar = float(params.get("p_bar", 2))
-    q = float(params.get("q", 2))
-    a = float(params.get("a", 0.25))
-    alpha = float(params.get("alpha", 1.0))
-    trials = int(params.get("trials", 5))
-    seed = int(params.get("seed", 0))
     _tau_gate("v_alpha_ct", grid.n, s, p, p_bar, q)
     ratios = []
-    ts = np.linspace(0.0, float(params.get("T", 0.5)), 17)
+    ts = np.linspace(0.0, T, 17)
     for t in range(trials):
         u0 = 0.1 * random_divergence_free(grid, seed=seed + t, j_hi=fam.j_max - 2)
         u_traj = Trajectory(times=ts, fields=[semigroup_apply(u0, s_, 1.0) for s_ in ts])
@@ -1001,9 +867,7 @@ def check_v_alpha_ct(params):
             ct_norm(v_traj, 2 * a, BesovIndex(s - 1.0, p_bar, q), fam) / denom**2
         )
     worst = _finite_max(ratios)
-    return CheckReport(
-        "v_alpha_ct", params, trials, ratios, worst, math.isfinite(worst)
-    )
+    return CheckReport(trials, ratios, worst, math.isfinite(worst))
 
 
 CHECKS = {
@@ -1033,8 +897,61 @@ CHECKS = {
 }
 
 
+def _parameters(fn):
+    """(type, default) by name of each parameter `fn` reads from a params
+    dict: `n` and `N` for the grid, the keyword-only arguments (typed by
+    their default unless annotated) and the run table for `**run`."""
+    spec = {}
+    for arg in inspect.signature(fn).parameters.values():
+        if arg.name == "grid":
+            spec.update(n=(int, 3), N=(int, 32))
+        elif arg.kind is arg.VAR_KEYWORD:
+            spec.update(_parameters(_run_trajectory))
+        else:
+            kind = type(arg.default) if arg.annotation is arg.empty else arg.annotation
+            spec[arg.name] = (kind, arg.default)
+    return spec
+
+
+def check_parameters(check_id):
+    """The parameter spec of a check; raises KeyError for unknown ids."""
+    return _parameters(CHECKS[check_id])
+
+
+def parse_params(check_id, params):
+    """Positional and keyword arguments of a check from a params dict.
+
+    Raises ConfigError, naming the check and the key, for an unknown key, a
+    missing required key, a value of the wrong type or an invalid grid.
+    Floats are converted with float(); other values pass through.
+    """
+    spec = check_parameters(check_id)
+    where = f"check '{check_id}'"
+    kwargs = {}
+    for key, value in params.items():
+        if key not in spec:
+            raise ConfigError(f"{where}: unknown parameter {key!r} (takes {', '.join(spec)})")
+        kind = spec[key][0]
+        expect_type(f"{where}: parameter {key!r}", value, kind)
+        kwargs[key] = float(value) if kind is float else value
+    for name, (_, default) in spec.items():
+        if name not in kwargs:
+            if default is inspect.Parameter.empty:
+                raise ConfigError(f"{where}: missing required parameter {name!r}")
+            kwargs[name] = default
+    if "n" not in kwargs:
+        return (), kwargs
+    n, N = kwargs.pop("n"), kwargs.pop("N")
+    try:
+        return (Grid(n, N),), kwargs
+    except ValueError as exc:
+        raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
+
+
 def run_check(check_id, params):
-    """Dispatch a check by id; raises KeyError for unknown ids."""
-    if check_id not in CHECKS:
-        raise KeyError(f"unknown check_id '{check_id}'")
-    return CHECKS[check_id](dict(params))
+    """Run a check on a params dict; raises KeyError for unknown ids and
+    ConfigError for malformed params (see parse_params)."""
+    args, kwargs = parse_params(check_id, params)
+    report = CHECKS[check_id](*args, **kwargs)
+    report.check_id, report.params = check_id, dict(params)
+    return report

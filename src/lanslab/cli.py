@@ -192,6 +192,30 @@ def cmd_picard(args):
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
+def _suite_entry(where, entry, seed):
+    """(check id, params) of one suite entry, its params parsed against the
+    check's signature so that a malformed entry fails before any check runs.
+    `seed` fills `seed` only for checks that take one."""
+    from .checks import CHECKS, check_parameters, parse_params
+
+    if not isinstance(entry, dict) or not set(entry) <= {"id", "params"}:
+        raise ConfigError(f"{where} must be an object with keys 'id' and 'params', got {entry!r}")
+    cid = entry.get("id")
+    if not isinstance(cid, str) or cid not in CHECKS:
+        raise ConfigError(f"{where}: unknown check_id {cid!r}")
+    params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} ({cid}): 'params' must be an object, got {params!r}")
+    params = dict(params)
+    if seed is not None and "seed" in check_parameters(cid):
+        params.setdefault("seed", seed)
+    try:
+        parse_params(cid, params)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return cid, params
+
+
 def cmd_verify(args):
     from .checks import run_check
 
@@ -203,27 +227,21 @@ def cmd_verify(args):
             f"error: {suite_path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr
         )
         return EXIT_CONFIG
-    if not isinstance(suite, dict) or "checks" not in suite:
-        print("error: suite must be an object with a 'checks' array", file=sys.stderr)
+    if not (isinstance(suite, dict) and set(suite) == {"checks"}
+            and isinstance(suite["checks"], list)):
+        print(f"error: {suite_path}: a suite is an object with one key, a 'checks' array",
+              file=sys.stderr)
         return EXIT_CONFIG
+    entries = [
+        _suite_entry(f"{suite_path}: checks[{i}]", entry, args.seed)
+        for i, entry in enumerate(suite["checks"])
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("verify", out_dir, {"suite": str(suite_path)}, args.seed or 0)
 
-    from .checks import CHECKS
-
-    for entry in suite["checks"]:
-        cid = entry.get("id")
-        if cid not in CHECKS:
-            print(f"error: unknown check_id '{cid}'", file=sys.stderr)
-            return EXIT_CONFIG
-
     reports, all_pass = [], True
-    for entry in suite["checks"]:
-        cid = entry["id"]
-        params = dict(entry.get("params", {}))
-        if args.seed is not None:
-            params.setdefault("seed", int(args.seed))
+    for cid, params in entries:
         t0 = time.perf_counter()
         try:
             rep = run_check(cid, params)

@@ -12,7 +12,9 @@ because every stage is Leray-projected in spectral space.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -119,36 +121,66 @@ class SolverConfig:
         return replace(self, **kw)
 
 
-_NESTED = {"initial": InitialSpec, "besov": BesovIndices, "picard": PicardParams}
+_JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string", type(None): "null"}
+
+
+def _json_type(kind):
+    if get_origin(kind) is list:
+        return f"array of {_json_type(get_args(kind)[0])}"
+    if isinstance(kind, UnionType):
+        return " or ".join(_json_type(k) for k in get_args(kind))
+    return _JSON_TYPES[kind]
+
+
+def _matches(value, kind):
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_matches(v, get_args(kind)[0]) for v in value)
+    if isinstance(kind, UnionType):
+        return any(_matches(value, k) for k in get_args(kind))
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def expect_type(where, value, kind):
+    """Raise ConfigError unless `value` is of type `kind`.
+
+    A float accepts an int or a float, an int only an int, a bool only
+    true/false and a str only a string; `X | None` also accepts null and
+    `list[X]` a list of X.  `where` names the key in the message.
+    """
+    if not _matches(value, kind):
+        raise ConfigError(f"{where} must be of type {_json_type(kind)}, got {value!r}")
+
+
+def _from_json(cls, raw, prefix=""):
+    """Dataclass `cls` from a JSON object whose keys are its fields; values
+    are type-checked against the annotations and passed on unconverted."""
+    types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
+    kwargs = {}
+    for key, value in raw.items():
+        name = prefix + key
+        if key not in types:
+            raise ConfigError(f"unknown config key {name!r}")
+        if is_dataclass(types[key]):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name!r} must be an object, got {value!r}")
+            value = _from_json(types[key], value, name + ".")
+        else:
+            expect_type(f"config key {name!r}", value, types[key])
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(raw):
-    """Build a SolverConfig from parsed JSON, rejecting unknown keys."""
+    """Build a SolverConfig from parsed JSON, rejecting unknown keys and
+    values whose type does not match the field's annotation."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = set(SolverConfig.__dataclass_fields__)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key '{key}'")
-        if key in _NESTED:
-            cls = _NESTED[key]
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{key}' must be an object")
-            sub_known = set(cls.__dataclass_fields__)
-            bad = set(value) - sub_known
-            if bad:
-                raise ConfigError(f"unknown keys {sorted(bad)} in config '{key}'")
-            try:
-                kwargs[key] = cls(**value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid '{key}' section: {exc}") from exc
-        else:
-            kwargs[key] = value
-    try:
-        return SolverConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _from_json(SolverConfig, raw)
 
 
 @dataclass

@@ -7,7 +7,9 @@ from lanslab.checks import run_check
 from lanslab.errors import ParameterGateError
 
 
-SMALL = {"n": 2, "N": 32, "trials": 4, "pairs": 4, "seed": 0}
+# a check takes either a trial count or a pair count, never both
+SMALL = {"n": 2, "N": 32, "trials": 4, "seed": 0}
+SMALL_PAIRS = {"n": 2, "N": 32, "pairs": 4, "seed": 0}
 
 
 def test_registry_dispatch_unknown():
@@ -28,14 +30,14 @@ def test_support_checks_pass():
 
 
 def test_paraproduct_and_block_checks():
-    rep = run_check("paraproduct_reconstruction", dict(SMALL))
+    rep = run_check("paraproduct_reconstruction", dict(SMALL_PAIRS))
     assert rep.passed and rep.max_ratio <= 1e-8
-    rep = run_check("block_decomposition", dict(SMALL))
+    rep = run_check("block_decomposition", dict(SMALL_PAIRS))
     assert rep.passed
 
 
 def test_bony_bounds_finite_and_scale_stable():
-    rep = run_check("bony_bounds", dict(SMALL))
+    rep = run_check("bony_bounds", dict(SMALL_PAIRS))
     assert rep.passed
     assert math.isfinite(rep.max_ratio)
     assert rep.details["scale_stable"]

@@ -1,0 +1,281 @@
+"""Strict parameter handling: verify suites, check params and solver configs.
+
+Malformed input must end with exit code 2 and a message that names where
+the problem is, before any check or solver run starts; never a traceback
+and never a silently applied default.
+"""
+
+import copy
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from lanslab.checks import check_parameters, parse_params
+from lanslab.cli import main
+from lanslab.errors import ConfigError
+from lanslab.solver import SolverConfig, config_from_dict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+VALID_SUITE = {
+    "checks": [
+        {"id": "k2_tail", "params": {"r": 2.5}},
+        {"id": "bernstein", "params": {"n": 2, "N": 16, "trials": 2, "seed": 1}},
+        {"id": "heat_smoothing", "params": {"n": 2, "N": 16, "trials": 1, "t_grid": [0.01, 1]}},
+        {"id": "energy_monotone", "params": {"n": 2, "N": 16, "T": 0.01, "initial_kind": "zero"}},
+    ]
+}
+VALID_CONFIG = {
+    "n": 3,
+    "N": 16,
+    "T": 0.01,
+    "dt": 0.005,
+    "initial": {"kind": "taylor_green", "amplitude": 0.1},
+    "besov": {"r": 2.5, "p": 2},
+    "picard": {"max_iter": 3, "ball_radius": None},
+}
+
+
+def _run(tmp_path, command, doc, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def test_valid_inputs_parse():
+    for entry in VALID_SUITE["checks"]:
+        parse_params(entry["id"], entry["params"])
+    config_from_dict(VALID_CONFIG)
+
+
+@pytest.mark.parametrize("name", ["verify_default.json", "verify_extended.json"])
+def test_shipped_suites_parse(name):
+    for entry in json.loads((CONFIGS / name).read_text())["checks"]:
+        parse_params(entry["id"], entry["params"])
+
+
+# Each case exited 0 (silently applied) or 1 (traceback) before parameters
+# were read against the check signatures.
+BERNSTEIN = {"n": 2, "N": 16, "trials": 2}
+SUITE_PROBES = {
+    "unknown_key": ({"id": "bernstein", "params": {**BERNSTEIN, "bogus": 1}}, ["bernstein", "'bogus'"]),
+    "float_count": ({"id": "bernstein", "params": {**BERNSTEIN, "trials": 1.7}}, ["bernstein", "'trials'", "integer"]),
+    "string_flag": ({"id": "product", "params": {"n": 3, "N": 16, "refine": "no"}}, ["product", "'refine'", "boolean"]),
+    "string_count": ({"id": "bernstein", "params": {**BERNSTEIN, "trials": "abc"}}, ["bernstein", "'trials'"]),
+    "missing_required": ({"id": "k2_tail", "params": {}}, ["k2_tail", "'r'"]),
+    "bad_dimension": ({"id": "bernstein", "params": {**BERNSTEIN, "n": 4}}, ["bernstein", "n=4"]),
+    "bad_points": ({"id": "bernstein", "params": {**BERNSTEIN, "N": 12}}, ["bernstein", "N=12"]),
+    "entry_not_object": ("bernstein", ["checks[1]", "'bernstein'"]),
+    "params_not_object": ({"id": "bernstein", "params": [1, 2]}, ["checks[1]", "bernstein", "'params'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_PROBES))
+def test_malformed_suite_entry_exit2_before_any_check(tmp_path, capsys, case):
+    entry, expected = SUITE_PROBES[case]
+    # the faulty entry comes last: no check may run before it is rejected
+    suite = {"checks": [{"id": "k2_tail", "params": {"r": 2.5}}, entry]}
+    code, err, out = _run(tmp_path, "verify", suite, capsys)
+    assert code == 2
+    for text in expected:
+        assert text in err
+    assert not out.exists()
+
+
+def test_suite_checks_not_array_exit2(tmp_path, capsys):
+    code, err, _ = _run(tmp_path, "verify", {"checks": 5}, capsys)
+    assert code == 2 and "'checks' array" in err
+
+
+def test_config_value_type_exit2(tmp_path, capsys):
+    doc = {**VALID_CONFIG, "initial": {"kind": "taylor_green", "amplitude": "x"}}
+    code, err, out = _run(tmp_path, "solve", doc, capsys)
+    assert code == 2 and "'initial.amplitude'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("csv_stride", "a"), ("alpha", True), ("N", "16"), ("picard.max_iter", 2.5),
+     ("initial.kind", 1), ("picard.ball_radius", "big"), ("besov.q", None)],
+)
+def test_config_field_types(key, value):
+    doc = copy.deepcopy(VALID_CONFIG)
+    section, _, field = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[field] = value
+    with pytest.raises(ConfigError, match=f"'{key}' must be of type"):
+        config_from_dict(doc)
+
+
+def test_config_values_pass_through_unconverted():
+    cfg = config_from_dict(VALID_CONFIG)
+    assert cfg.to_dict()["besov"]["p"] == 2 and type(cfg.besov.p) is int
+    assert config_from_dict({"picard": {"ball_radius": 2}}).picard.ball_radius == 2
+
+
+def test_check_type_rules():
+    _, kwargs = parse_params("bernstein", {"p": 2, "q": 4.0, "j_hi": None})
+    assert type(kwargs["p"]) is float and kwargs["p"] == 2.0 and kwargs["j_hi"] is None
+    assert parse_params("product", {"refine": True})[1]["refine"] is True
+    assert parse_params("heat_smoothing", {"t_grid": [0.5, 1]})[1]["t_grid"] == [0.5, 1]
+    for cid, params in [
+        ("bernstein", {"trials": True}),
+        ("bernstein", {"seed": 1.0}),
+        ("bernstein", {"p": False}),
+        ("bernstein", {"j_hi": 2.0}),
+        ("product", {"refine": 1}),
+        ("heat_smoothing", {"t_grid": 0.5}),
+        ("heat_smoothing", {"t_grid": [0.5, "1"]}),
+        ("energy_monotone", {"initial_kind": 3}),
+        ("energy_monotone", {"sample_stride": "2"}),
+    ]:
+        key = next(iter(params))
+        with pytest.raises(ConfigError, match=f"check '{cid}': parameter '{key}' must be of type"):
+            parse_params(cid, params)
+
+
+def test_dynamic_checks_share_the_run_table():
+    run = {"n", "N", "alpha", "nu", "T", "dt", "seed", "initial_kind", "amplitude",
+           "band_j", "sample_stride"}
+    assert set(check_parameters("energy_monotone")) == run | {"c_tol"}
+    for cid in ("gronwall_differential", "apriori_bound"):
+        assert set(check_parameters(cid)) == run | {"r", "q"}
+
+
+def test_verify_seed_fills_only_checks_that_take_one(tmp_path, capsys):
+    suite = {"checks": [{"id": "k2_tail", "params": {"r": 2.5}},
+                        {"id": "bernstein", "params": {"n": 2, "N": 16, "trials": 2}}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    out = tmp_path / "out"
+    assert main(["verify", "--seed", "3", "--config", str(path), "--out", str(out)]) == 0
+    k2, bern = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert "seed" not in k2["params"]
+    assert bern["params"]["seed"] == 3
+
+
+_SCHEMA_TYPES = {int: "integer", float: "number", str: "string", float | None: ["number", "null"]}
+
+
+def _assert_schema_matches(cls, schema, path):
+    props = schema["properties"]
+    assert set(props) == set(cls.__dataclass_fields__), path
+    for name, f in cls.__dataclass_fields__.items():
+        if dataclasses.is_dataclass(f.type):
+            assert props[name]["type"] == "object", f"{path}{name}"
+            _assert_schema_matches(f.type, props[name], f"{path}{name}.")
+        else:
+            assert props[name]["type"] == _SCHEMA_TYPES[f.type], f"{path}{name}"
+
+
+def test_schema_lists_the_config_fields():
+    schema = json.loads((CONFIGS / "schema.json").read_text())
+    _assert_schema_matches(SolverConfig, schema, "")
+
+
+# ----------------------------------------------------------------------
+# fuzz: one fault injected into a valid suite or config
+
+_VALUES = {
+    "integer": st.integers(-3, 40),
+    "number": st.floats(),
+    "boolean": st.booleans(),
+    "string": st.text(max_size=6),
+    "null": st.none(),
+    "array": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_ACCEPTS = {int: {"integer"}, float: {"integer", "number"}, bool: {"boolean"}, str: {"string"}}
+
+
+def _except(*accepted):
+    return st.one_of(*[s for name, s in _VALUES.items() if name not in accepted])
+
+
+@st.composite
+def _faulty_suite(draw):
+    suite = copy.deepcopy(VALID_SUITE)
+    i = draw(st.integers(0, len(suite["checks"]) - 1))
+    entry = suite["checks"][i]
+    spec = check_parameters(entry["id"])
+    fault = draw(st.sampled_from(["unknown key", "mistyped", "container", "missing"]))
+    if fault == "unknown key":
+        target, known = draw(st.sampled_from(
+            [(suite, {"checks"}), (entry, {"id", "params"}), (entry["params"], set(spec))]
+        ))
+        key = draw(st.text(max_size=8))
+        assume(key not in known)
+        target[key] = draw(_except())
+    elif fault == "mistyped":
+        simple = sorted(k for k, (kind, _) in spec.items() if kind in _ACCEPTS)
+        key = draw(st.sampled_from(simple))
+        entry["params"][key] = draw(_except(*_ACCEPTS[spec[key][0]]))
+    elif fault == "container":
+        where = draw(st.sampled_from(["root", "checks", "entry", "params"]))
+        if where == "root":
+            return draw(_except("object"))
+        if where == "checks":
+            suite["checks"] = draw(_except("array"))
+        elif where == "entry":
+            suite["checks"][i] = draw(_except("object"))
+        else:
+            entry["params"] = draw(_except("object"))
+    else:
+        draw(st.sampled_from([
+            lambda: suite.pop("checks"),
+            lambda: entry.pop("id"),
+            lambda: suite["checks"][0]["params"].pop("r"),
+        ]))()
+    return suite
+
+
+@st.composite
+def _faulty_config(draw):
+    config = copy.deepcopy(VALID_CONFIG)
+    sections = [(SolverConfig, config)] + [
+        (f.type, config.setdefault(name, {}))
+        for name, f in SolverConfig.__dataclass_fields__.items()
+        if dataclasses.is_dataclass(f.type)
+    ]
+    cls, target = draw(st.sampled_from(sections))
+    fields = cls.__dataclass_fields__
+    fault = draw(st.sampled_from(["unknown key", "mistyped", "container"]))
+    if fault == "unknown key":
+        key = draw(st.text(max_size=8))
+        assume(key not in fields)
+        target[key] = draw(_except())
+    elif fault == "mistyped":
+        key = draw(st.sampled_from(sorted(k for k, f in fields.items() if f.type in _ACCEPTS)))
+        target[key] = draw(_except(*_ACCEPTS[fields[key].type]))
+    elif cls is SolverConfig:
+        return draw(_except("object"))
+    else:
+        name = next(k for k, v in config.items() if v is target)
+        config[name] = draw(_except("object"))
+    return config
+
+
+def _exit_code(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        return main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(suite=_faulty_suite())
+def test_fuzz_malformed_suite_exits_2(suite):
+    assert _exit_code("verify", suite) == 2
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_faulty_config())
+def test_fuzz_malformed_config_exits_2(config):
+    assert _exit_code("solve", config) == 2
