@@ -2,7 +2,8 @@
 
 All transforms act on the trailing spatial axes so leading axes batch
 components and dyadic blocks in a single call.  The worker count is a
-performance knob only; results are bitwise independent of it.
+performance knob only; results are bitwise independent of it.  `norm`
+is scipy's: "forward" puts the whole 1/N^n on the forward transform.
 """
 
 import os
@@ -39,9 +40,11 @@ def ifftn(a, nax):
     return _sfft.ifftn(a, axes=tuple(range(-nax, 0)), workers=_workers)
 
 
-def rfftn(a, nax):
-    return _sfft.rfftn(a, axes=tuple(range(-nax, 0)), workers=_workers)
+def rfftn(a, nax, *, norm=None):
+    return _sfft.rfftn(a, axes=tuple(range(-nax, 0)), norm=norm, workers=_workers)
 
 
-def irfftn(a, shape):
-    return _sfft.irfftn(a, s=shape, axes=tuple(range(-len(shape), 0)), workers=_workers)
+def irfftn(a, shape, *, norm=None):
+    return _sfft.irfftn(
+        a, s=shape, axes=tuple(range(-len(shape), 0)), norm=norm, workers=_workers
+    )

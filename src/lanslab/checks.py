@@ -15,8 +15,12 @@ parameter spec: a check on a grid takes the grid first (built from `n`
 and `N`), then keyword-only parameters typed by their defaults.  run_check
 reads a params dict (the CLI suite format) against that spec and rejects
 unknown keys, missing required keys and mistyped values with a
-ConfigError.  Dynamic checks take the run table of `_run_trajectory` as
-`**run` and build their own solver runs, so suites are self-contained.
+ConfigError.  Dynamic checks take `run`, built from the run table of
+`_run_config`, and make their own solver runs, so suites are
+self-contained.  Values a well-typed parameter may still not take (a
+dyadic index the grid does not resolve, a trial count below 1, an empty
+time grid, a run the solver refuses) are ConfigErrors too, raised before
+any check runs.
 """
 
 import inspect
@@ -545,19 +549,25 @@ def check_tau(
 # dynamic checks (run on trajectories)
 
 
-def _run_trajectory(
+def _run_config(
     grid, *, alpha=1.0, nu=1.0, T=0.5, dt=2e-3, seed=0, initial_kind="taylor_green",
     amplitude=0.1, band_j=1, sample_stride: int | None = None,
 ):
-    """The solver run a dynamic check is made on; its keyword-only
-    arguments are the run parameters every dynamic check takes."""
+    """(SolverConfig, sample stride) of the solver run a dynamic check is
+    made on; its keyword-only arguments are the run parameters every
+    dynamic check takes.  Raises ConfigError for values the solver refuses."""
     cfg = SolverConfig(
         n=grid.n, N=grid.N, alpha=alpha, nu=nu, T=T, dt=dt, seed=seed,
         initial=InitialSpec(initial_kind, amplitude, band_j),
     )
     if sample_stride is None:
         sample_stride = max(1, int(round(cfg.T / cfg.dt)) // 50)
-    return cfg, solve_ivp(cfg.initial_field(), cfg, sample_stride=sample_stride)
+    return cfg, sample_stride
+
+
+def _trajectory(run):
+    cfg, sample_stride = run
+    return solve_ivp(cfg.initial_field(), cfg, sample_stride=sample_stride)
 
 
 def energy_monotone_report(traj, alpha, dt, c_tol=10.0):
@@ -591,8 +601,8 @@ def energy_monotone_report(traj, alpha, dt, c_tol=10.0):
     )
 
 
-def check_energy_monotone(grid, *, c_tol=10.0, **run):
-    cfg, traj = _run_trajectory(grid, **run)
+def check_energy_monotone(grid, *, c_tol=10.0, run):
+    cfg, traj = run[0], _trajectory(run)
     dt_eff = cfg.T / max(1, int(round(cfg.T / cfg.dt)))
     return energy_monotone_report(traj, cfg.alpha, dt_eff, c_tol)
 
@@ -624,9 +634,8 @@ def gronwall_report(traj, r, q, n):
     )
 
 
-def check_gronwall_differential(grid, *, r=2.5, q=2.0, **run):
-    _, traj = _run_trajectory(grid, **run)
-    return gronwall_report(traj, r, q, grid.n)
+def check_gronwall_differential(grid, *, r=2.5, q=2.0, run):
+    return gronwall_report(_trajectory(run), r, q, grid.n)
 
 
 def apriori_report(traj, r, q, n):
@@ -656,9 +665,8 @@ def apriori_report(traj, r, q, n):
     )
 
 
-def check_apriori_bound(grid, *, r=2.5, q=2.0, **run):
-    _, traj = _run_trajectory(grid, **run)
-    return apriori_report(traj, r, q, grid.n)
+def check_apriori_bound(grid, *, r=2.5, q=2.0, run):
+    return apriori_report(_trajectory(run), r, q, grid.n)
 
 
 # ----------------------------------------------------------------------
@@ -900,13 +908,13 @@ CHECKS = {
 def _parameters(fn):
     """(type, default) by name of each parameter `fn` reads from a params
     dict: `n` and `N` for the grid, the keyword-only arguments (typed by
-    their default unless annotated) and the run table for `**run`."""
+    their default unless annotated) and the run table for `run`."""
     spec = {}
     for arg in inspect.signature(fn).parameters.values():
         if arg.name == "grid":
             spec.update(n=(int, 3), N=(int, 32))
-        elif arg.kind is arg.VAR_KEYWORD:
-            spec.update(_parameters(_run_trajectory))
+        elif arg.name == "run":
+            spec.update(_parameters(_run_config))
         else:
             kind = type(arg.default) if arg.annotation is arg.empty else arg.annotation
             spec[arg.name] = (kind, arg.default)
@@ -918,12 +926,38 @@ def check_parameters(check_id):
     return _parameters(CHECKS[check_id])
 
 
+def _dyadic_index(v, grid):
+    j_max = grid.max_dyadic_index
+    return v is None or 0 <= v <= j_max, f"a resolved dyadic index, 0 <= j <= {j_max}"
+
+
+def _count(v, grid):
+    return v is None or v >= 1, "at least 1"
+
+
+# Ranges of well-typed parameters, by name: (value, grid) -> (in range,
+# requirement).  None stands for the check's default.
+_RANGES = {
+    "j_max": _dyadic_index,
+    "j_lo": _dyadic_index,
+    "j_hi": _dyadic_index,
+    "trials": _count,
+    "pairs": _count,
+    "sample_stride": _count,
+    "t_grid": lambda v, grid: (
+        v is None or (len(v) > 0 and all(0 <= t < math.inf for t in v)),
+        "a non-empty list of finite times >= 0",
+    ),
+}
+
+
 def parse_params(check_id, params):
     """Positional and keyword arguments of a check from a params dict.
 
     Raises ConfigError, naming the check and the key, for an unknown key, a
-    missing required key, a value of the wrong type or an invalid grid.
-    Floats are converted with float(); other values pass through.
+    missing required key, a value of the wrong type or out of its range
+    (`_RANGES`), an invalid grid or a run the solver refuses.  Floats are
+    converted with float(); other values pass through.
     """
     spec = check_parameters(check_id)
     where = f"check '{check_id}'"
@@ -943,9 +977,22 @@ def parse_params(check_id, params):
         return (), kwargs
     n, N = kwargs.pop("n"), kwargs.pop("N")
     try:
-        return (Grid(n, N),), kwargs
+        grid = Grid(n, N)
     except ValueError as exc:
         raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
+    for key, rule in _RANGES.items():
+        in_range, requirement = rule(kwargs.get(key), grid)
+        if not in_range:
+            raise ConfigError(
+                f"{where}: parameter {key!r} must be {requirement}, got {kwargs[key]!r}"
+            )
+    if "run" in inspect.signature(CHECKS[check_id]).parameters:
+        run = {key: kwargs.pop(key) for key in _parameters(_run_config) if key in kwargs}
+        try:
+            kwargs["run"] = _run_config(grid, **run)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: run parameters: {exc}") from exc
+    return (grid,), kwargs
 
 
 def run_check(check_id, params):

@@ -53,15 +53,24 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def load_config(path):
-    raw_text = Path(path).read_text()
+def read_json(path):
+    """The parsed contents of a JSON input file.  Bytes that are not UTF-8
+    or text that is not JSON raise ConfigError naming the file and where."""
+    raw = Path(path).read_bytes()
     try:
-        raw = json.loads(raw_text)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: JSON parse error: {exc.msg}"
         ) from exc
-    return config_from_dict(raw)
+
+
+def load_config(path):
+    return config_from_dict(read_json(path))
 
 
 class Manifest:
@@ -220,13 +229,7 @@ def cmd_verify(args):
     from .checks import run_check
 
     suite_path = Path(args.config)
-    try:
-        suite = json.loads(suite_path.read_text())
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {suite_path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr
-        )
-        return EXIT_CONFIG
+    suite = read_json(suite_path)
     if not (isinstance(suite, dict) and set(suite) == {"checks"}
             and isinstance(suite["checks"], list)):
         print(f"error: {suite_path}: a suite is an object with one key, a 'checks' array",

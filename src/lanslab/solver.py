@@ -9,6 +9,13 @@ exactly through e^{-nu |k|^2 dt} multipliers and only the dealiased
 nonlinearity is advanced by the Runge-Kutta stages, giving fourth-order
 accuracy on the nonlinear term.  States stay divergence-free to round-off
 because every stage is Leray-projected in spectral space.
+
+Coefficient convention: the stepper's state is the half spectrum of
+`rfftn(u, norm="forward")`, u_hat(k) = N^-n sum_x u(x) e^{-i k.x}, and
+`irfftn(u_hat, norm="forward")` is the plain Fourier sum back.  The 1/N^n
+thus rides inside the transforms instead of separate `/ N^n` and `* N^n`
+passes; N is a power of two, so the coefficients are bitwise those of the
+default-normalised transform divided by N^n.
 """
 
 import math
@@ -55,11 +62,20 @@ class PicardParams:
             )
 
 
+INITIAL_KINDS = ("taylor_green", "zero", "random_band", "random_divfree")
+
+
 @dataclass(frozen=True)
 class InitialSpec:
-    kind: str = "taylor_green"  # taylor_green | zero | random_band | random_divfree
+    kind: str = "taylor_green"  # one of INITIAL_KINDS
     amplitude: float = 0.1
     j: int = 1
+
+    def __post_init__(self):
+        if self.kind not in INITIAL_KINDS:
+            raise ConfigError(
+                f"unknown initial data kind {self.kind!r} (kinds: {', '.join(INITIAL_KINDS)})"
+            )
 
     def build(self, grid, seed=0):
         if self.kind == "taylor_green":
@@ -71,11 +87,9 @@ class InitialSpec:
 
             u = random_band_limited(grid, self.j, seed, ncomp=grid.n)
             return leray_project(self.amplitude * u)
-        if self.kind == "random_divfree":
-            from .fields import random_divergence_free
+        from .fields import random_divergence_free
 
-            return self.amplitude * random_divergence_free(grid, seed)
-        raise ConfigError(f"unknown initial data kind '{self.kind}'")
+        return self.amplitude * random_divergence_free(grid, seed)
 
 
 @dataclass(frozen=True)
@@ -213,7 +227,8 @@ class Trajectory:
 
 
 class SpectralStepper:
-    """Integrating-factor RK4 stepper in (real-input) spectral variables."""
+    """Integrating-factor RK4 stepper in (real-input) spectral variables,
+    with the norm="forward" coefficients of the module docstring."""
 
     def __init__(self, grid, alpha, nu, dt):
         self.grid = grid
@@ -226,62 +241,65 @@ class SpectralStepper:
         axes = [kfull] * (n - 1) + [khalf]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.kv = np.stack(mesh)
-        self.k2 = np.sum(self.kv**2, axis=0)
-        self.k2_safe = self.k2.copy()
-        self.k2_safe[(0,) * n] = 1.0
-        kc = N // 3
-        self.dealias = np.all(np.abs(self.kv) <= kc, axis=0)
-        self.helm = 1.0 + self.alpha**2 * self.k2
-        # Parseval weights for the half spectrum
-        w = np.ones_like(self.k2)
+        self.ik = 1j * self.kv
+        k2 = np.sum(self.kv**2, axis=0)
+        k2_safe = k2.copy()
+        k2_safe[(0,) * n] = 1.0
+        self.kv_k2 = self.kv / k2_safe  # k/|k|^2, zero at k = 0
+        helm = 1.0 + self.alpha**2 * k2
+        # Flat indices of the modes inside the 2/3 dealiasing mask
+        # |k_i| <= N/3.  The kernel's output is zero off the mask, so its
+        # spectral tail works on these modes alone, with its tables
+        # restricted to them.
+        self.kept = np.flatnonzero(np.all(np.abs(self.kv) <= N // 3, axis=0))
+        # i k alpha^2/Helmholtz: the divergence of tau_hat from the
+        # transformed stress product.  The 1/2 of Def = (J + J^T)/2 is
+        # folded in, since the kernel forms J + J^T.
+        ik_tau = self.ik * (self.alpha**2 / (2.0 * helm))
+        self.kept_tables = tuple(
+            t.reshape(n, -1)[:, self.kept].astype(complex) for t in (self.kv, self.kv_k2, ik_tau)
+        )
+        # Parseval weights for the half spectrum, times 1, |k|^2 and the
+        # Helmholtz symbol for the L^2, gradient and energy diagnostics.
+        w = np.ones_like(k2)
         kz = mesh[-1]
         w[(kz > 0) & (kz < N // 2)] = 2.0
-        self.parseval = w
-        self.e_full = np.exp(-self.nu * self.k2 * self.dt)
-        self.e_half = np.exp(-self.nu * self.k2 * self.dt / 2.0)
-        self.npoints = grid.npoints
+        self.weights = np.stack([w, w * k2, w * helm])
+        # The multiplier tables are complex so that they scale complex
+        # arrays without a per-call cast (the products are unchanged).
+        self.e_full = np.exp(-self.nu * k2 * self.dt).astype(complex)
+        self.e_half = np.exp(-self.nu * k2 * self.dt / 2.0).astype(complex)
         self.shape = grid.shape
+        # Planes per slab of the kernel's physical-space products: slabs of
+        # about 4096 points keep their operands in cache between passes.
+        self.slab = max(1, 4096 // math.prod(self.shape[1:]))
 
     # -- transforms between VectorField and the internal state ----------
 
     def to_state(self, u):
-        return _fft.rfftn(u.data, self.grid.n) / self.npoints
+        return _fft.rfftn(u.data, self.grid.n, norm="forward")
 
     def to_field(self, state):
-        return VectorField(
-            self.grid, _fft.irfftn(state * self.npoints, self.shape)
-        )
+        return VectorField(self.grid, _fft.irfftn(state, self.shape, norm="forward"))
 
     # -- diagnostics -----------------------------------------------------
 
-    def l2(self, state):
-        return math.sqrt(float(np.sum(self.parseval * np.abs(state) ** 2)))
-
-    def grad_l2(self, state):
-        return math.sqrt(
-            float(np.sum(self.parseval * self.k2 * np.abs(state) ** 2))
-        )
-
-    def energy(self, state):
-        return float(
-            np.sum(self.parseval * (1.0 + self.alpha**2 * self.k2) * np.abs(state) ** 2)
-        )
-
-    def div_residual(self, state):
-        div = np.sum(1j * self.kv * state, axis=0)
-        nrm = self.l2(state)
-        if nrm == 0.0:
-            return 0.0
-        return math.sqrt(float(np.sum(self.parseval * np.abs(div) ** 2))) / nrm
+    def diagnostics(self, state):
+        """(energy, l2, grad_l2, div_residual) of a state from one pass
+        over |u_hat|^2; div_residual is ||div u||_2 / ||u||_2 (0 for u = 0)."""
+        power = np.einsum("i...,i...->...", state.real, state.real)
+        power += np.einsum("i...,i...->...", state.imag, state.imag)
+        l2_sq, grad_sq, energy = (float(np.vdot(w, power)) for w in self.weights)
+        div = np.einsum("i...,i...->...", self.kv, state)
+        div_sq = float(np.vdot(self.weights[0], div.real**2 + div.imag**2))
+        l2 = math.sqrt(l2_sq)
+        return energy, l2, math.sqrt(grad_sq), math.sqrt(div_sq) / l2 if l2 else 0.0
 
     # -- dynamics ----------------------------------------------------------
 
     def project(self, state):
-        kdot = np.sum(self.kv * state, axis=0)
-        out = state - self.kv * (kdot / self.k2_safe)[None]
-        zero = (slice(None),) + (0,) * self.grid.n
-        out[zero] = state[zero]
-        return out
+        """Leray projection u_hat - k (k.u_hat)/|k|^2."""
+        return state - self.kv_k2 * np.einsum("i...,i...->...", self.kv, state)
 
     def nonlinear(self, state):
         """-P[div(u (x) u) + div tau(u)] in spectral variables.
@@ -289,42 +307,74 @@ class SpectralStepper:
         The advective term is evaluated in convective form (u.grad)u, which
         coincides with div(u (x) u) to round-off here: the state spectrum
         lives inside the 2/3 mask, so products are alias-free after masking
-        and the state is exactly divergence-free.
+        and the state is exactly divergence-free.  One batch of n + n^2
+        inverse transforms gives u and J = grad u, one batch of forward
+        transforms the convective term and the stress product
+        (J + J^T)(J - J^T).
         """
-        n = self.grid.n
-        jac_hat = (1j * self.kv[None, :] * state[:, None]).reshape(
-            (n * n,) + self.k2.shape
-        )
-        phys = _fft.irfftn(
-            np.concatenate([state, jac_hat]) * self.npoints, self.shape
-        )
-        u = phys[:n]
-        jac = phys[n:].reshape((n, n) + self.shape)
-        conv = np.einsum("j...,ij...->i...", u, jac)
+        n, shape = self.grid.n, self.shape
+        spec = state.shape[1:]
+        # The result outlives the temporaries below; allocated first, it does
+        # not pin the heap above them, so their memory can be given back.
+        out = np.zeros_like(state)
+        grad = np.empty((n + n * n,) + spec, dtype=complex)
+        grad[:n] = state
+        np.multiply(self.ik[None], state[:, None], out=grad[n:].reshape((n, n) + spec))
+        phys = _fft.irfftn(grad, shape, norm="forward")
+        del grad
+        u, jac = phys[:n], phys[n:].reshape((n, n) + shape)
+        flux = np.empty((n + n * n if self.alpha > 0 else n,) + shape)
+        conv, prod = flux[:n], flux[n:].reshape((-1, n) + shape)
+        for a in range(0, shape[0], self.slab):
+            part = slice(a, a + self.slab)
+            J = jac[:, :, part]
+            np.einsum("j...,ij...->i...", u[:, part], J, out=conv[:, part])
+            if self.alpha > 0:
+                sym = J + J.swapaxes(0, 1)
+                for i in range(n):  # J <- J - J^T in place
+                    J[i, i] = 0.0
+                    for j in range(i + 1, n):
+                        np.subtract(J[i, j], J[j, i], out=J[i, j])
+                        np.negative(J[i, j], out=J[j, i])
+                np.einsum("ik...,kj...->ij...", sym, J, out=prod[:, :, part])
+        del phys, u, jac
+        fwd = _fft.rfftn(flux, n, norm="forward")
+        del flux
+        fwd = np.take(fwd.reshape(len(fwd), -1), self.kept, axis=1)
+        kv, kv_k2, ik_tau = self.kept_tables
+        vhat = fwd[:n]
         if self.alpha > 0:
-            deform = 0.5 * (jac + np.swapaxes(jac, 0, 1))
-            rotation = jac - np.swapaxes(jac, 0, 1)
-            prod = np.einsum("ik...,kj...->ij...", deform, rotation)
-            fwd = _fft.rfftn(
-                np.concatenate([conv, prod.reshape((n * n,) + self.shape)]), n
-            ) * (self.dealias / self.npoints)
-            vhat = fwd[:n]
-            tau_hat = (
-                self.alpha**2 * fwd[n:].reshape((n, n) + self.k2.shape)
-                / self.helm[None, None]
-            )
-            vhat = vhat + np.einsum("j...,ij...->i...", 1j * self.kv, tau_hat)
-        else:
-            vhat = _fft.rfftn(conv, n) * (self.dealias / self.npoints)
-        return -self.project(vhat)
+            tau = fwd[n:].reshape(n, n, -1)
+            for j in range(n):
+                vhat += ik_tau[j] * tau[:, j]
+        # -P vhat = k (k.vhat)/|k|^2 - vhat, as in `project`
+        vhat = kv_k2 * np.einsum("ik,ik->k", kv, vhat) - vhat
+        for flat, row in zip(out.reshape(n, -1), vhat):  # row by row: faster than 2-D
+            flat[self.kept] = row
+        return out
 
     def step(self, state):
         dt, e1, e2 = self.dt, self.e_half, self.e_full
         k1 = self.nonlinear(state)
-        k2 = self.nonlinear(e1 * (state + 0.5 * dt * k1))
-        k3 = self.nonlinear(e1 * state + 0.5 * dt * k2)
-        k4 = self.nonlinear(e2 * state + dt * e1 * k3)
-        return e2 * state + (dt / 6.0) * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
+        stage = 0.5 * dt * k1
+        stage += state
+        stage *= e1
+        k2 = self.nonlinear(stage)
+        stage = e1 * state
+        stage += 0.5 * dt * k2
+        k3 = self.nonlinear(stage)
+        e2_state = e2 * state
+        stage = dt * e1 * k3
+        stage += e2_state
+        k4 = self.nonlinear(stage)
+        # e2 u + dt/6 (e2 k1 + 2 e1 (k2 + k3) + k4), accumulated in place
+        k2 += k3
+        k2 *= 2.0 * e1
+        k2 += e2 * k1
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += e2_state
+        return k2
 
 
 def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
@@ -360,12 +410,10 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
     besov_rows = []
     times, fields = [], []
 
-    def record(i, t, state):
+    def record(i, t, state, diag):
         t_series[i] = t
-        cols["energy"][i] = stepper.energy(state)
-        cols["l2"][i] = stepper.l2(state)
-        cols["grad_l2"][i] = stepper.grad_l2(state)
-        cols["div_residual"][i] = stepper.div_residual(state)
+        for key, value in zip(cols, diag):
+            cols[key][i] = value
         keep_sample = i % sample_stride == 0 or i == nsteps
         if keep_sample:
             times.append(t)
@@ -376,14 +424,15 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
                 (t, family.besov_norm(f, besov_idx[0]), family.besov_norm(f, besov_idx[1]))
             )
 
-    record(0, 0.0, state)
+    record(0, 0.0, state, stepper.diagnostics(state))
     for i in range(1, nsteps + 1):
         state = stepper.step(state)
         t = i * dt
-        nrm = stepper.l2(state)
+        diag = stepper.diagnostics(state)
+        nrm = diag[1]
         if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
             raise BlowUpError(t, nrm, cfg.blowup_threshold)
-        record(i, t, state)
+        record(i, t, state, diag)
 
     series = {"t": t_series, **cols}
     if besov_rows:

@@ -1,9 +1,14 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from lanslab.cli import main
 from lanslab.fieldio import read_field, write_field
 from lanslab.fields import random_band_mixture, taylor_green
 from lanslab.grid import Grid
@@ -95,3 +100,60 @@ def test_lp_analyze_exits_2_on_loose_header(tmp_path):
 
     path = _snapshot(tmp_path, dtype=">f4")
     assert main(["lp-analyze", "--field", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+# ----------------------------------------------------------------------
+# fuzz: one fault in an otherwise valid snapshot; lp-analyze exits 2
+
+_HEADER = {"format": "lans-field", "version": 1, "n": 2, "N": 8, "components": 2,
+           "dtype": "<f8", "order": "C"}
+_PAYLOAD = np.arange(2 * 8 * 8, dtype="<f8").tobytes()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _broken_snapshot(draw):
+    header, payload = dict(_HEADER), _PAYLOAD
+    key = draw(st.sampled_from(sorted(header)))
+    fault = draw(st.sampled_from(
+        ["drop key", "rename key", "change value", "truncate", "pad", "non-ascii header"]
+    ))
+    if fault == "drop key":
+        del header[key]
+    elif fault == "rename key":
+        name = draw(st.text(max_size=8))
+        assume(name not in header)
+        header[name] = header.pop(key)
+    elif fault == "change value":
+        value = draw(_JSON_VALUES)
+        assume(json.dumps(value) != json.dumps(header[key]))
+        header[key] = value
+    elif fault == "truncate":
+        payload = payload[: draw(st.integers(0, len(payload) - 1))]
+    elif fault == "pad":
+        payload += draw(st.binary(min_size=1, max_size=24))
+    line = json.dumps(header, sort_keys=True).encode()
+    if fault == "non-ascii header":
+        i = draw(st.integers(0, len(line) - 1))
+        line = line[:i] + bytes([draw(st.integers(0x80, 0xFF))]) + line[i + 1:]
+    return line + b"\n" + payload
+
+
+def test_valid_snapshot_analyzes(tmp_path):
+    path = tmp_path / "f.lans"
+    path.write_bytes(json.dumps(_HEADER, sort_keys=True).encode() + b"\n" + _PAYLOAD)
+    assert main(["lp-analyze", "--field", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(snapshot=_broken_snapshot())
+def test_fuzz_broken_snapshot_exits_2(snapshot):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.lans"
+        path.write_bytes(snapshot)
+        assert main(["lp-analyze", "--field", str(path), "--out", str(Path(tmp) / "out")]) == 2

@@ -74,6 +74,26 @@ SUITE_PROBES = {
     "bad_points": ({"id": "bernstein", "params": {**BERNSTEIN, "N": 12}}, ["bernstein", "N=12"]),
     "entry_not_object": ("bernstein", ["checks[1]", "'bernstein'"]),
     "params_not_object": ({"id": "bernstein", "params": [1, 2]}, ["checks[1]", "bernstein", "'params'"]),
+    # well-typed but out of range: each raised from inside the check
+    "unresolved_j_max": ({"id": "partition_of_unity", "params": {"n": 3, "N": 32, "j_max": 9}},
+                         ["checks[1]", "partition_of_unity", "'j_max'", "<= 3"]),
+    "negative_j_max": ({"id": "partition_of_unity", "params": {"n": 2, "N": 16, "j_max": -1}},
+                       ["checks[1]", "partition_of_unity", "'j_max'"]),
+    "unresolved_j_hi": ({"id": "bernstein", "params": {**BERNSTEIN, "j_hi": 9}},
+                        ["checks[1]", "bernstein", "'j_hi'", "<= 2"]),
+    "no_trials": ({"id": "product", "params": {"n": 2, "N": 16, "trials": 0}},
+                  ["checks[1]", "product", "'trials'", "at least 1"]),
+    "zero_sample_stride": ({"id": "energy_monotone", "params": {"n": 2, "N": 16, "sample_stride": 0}},
+                           ["checks[1]", "energy_monotone", "'sample_stride'"]),
+    "empty_t_grid": ({"id": "heat_smoothing", "params": {"n": 2, "N": 16, "t_grid": []}},
+                     ["checks[1]", "heat_smoothing", "'t_grid'", "non-empty"]),
+    "negative_time": ({"id": "heat_smoothing", "params": {"n": 2, "N": 16, "t_grid": [0.1, -1]}},
+                      ["checks[1]", "heat_smoothing", "'t_grid'"]),
+    # run parameters the solver refuses: raised when the check started
+    "zero_viscosity": ({"id": "energy_monotone", "params": {"n": 2, "N": 16, "nu": 0}},
+                       ["checks[1]", "energy_monotone", "nu > 0"]),
+    "unknown_initial_kind": ({"id": "gronwall_differential", "params": {"initial_kind": "bogus"}},
+                             ["checks[1]", "gronwall_differential", "'bogus'"]),
 }
 
 
@@ -86,6 +106,17 @@ def test_malformed_suite_entry_exit2_before_any_check(tmp_path, capsys, case):
     assert code == 2
     for text in expected:
         assert text in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_utf8_input_exit2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"checks": [], "\xff": 1}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "byte 0xff at offset 16" in err
     assert not out.exists()
 
 

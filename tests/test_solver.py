@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from lanslab.dynamics import semigroup_apply
+from lanslab import _fft
+from lanslab.dynamics import nonlinearity_V, semigroup_apply
 from lanslab.errors import BlowUpError, ConfigError
-from lanslab.fields import l2_norm, taylor_green, zero_field
-from lanslab.operators import div_l2_residual
+from lanslab.fields import VectorField, l2_norm, random_divergence_free, taylor_green, zero_field
+from lanslab.grid import Grid
+from lanslab.operators import div_l2_residual, leray_project
 from lanslab.solver import (
     InitialSpec,
     SolverConfig,
+    SpectralStepper,
     Trajectory,
     config_from_dict,
     solve_ivp,
@@ -138,3 +141,105 @@ def test_besov_series_recorded():
     assert "besov_base" in traj.series
     assert len(traj.series["besov_t"]) >= 2
     assert np.all(traj.series["besov_base"] > 0)
+
+
+class _SlowKernel:
+    """The stepper's nonlinear term as first written: default-normalised
+    transforms with explicit `/ npoints` and `* npoints` passes, the mask
+    and the Helmholtz division on every call, an out-of-place projection.
+    It is the slow-path oracle for `SpectralStepper.nonlinear`."""
+
+    def __init__(self, grid, alpha):
+        self.grid = grid
+        self.alpha = float(alpha)
+        n, N = grid.n, grid.N
+        kfull = np.fft.fftfreq(N, 1.0 / N)
+        khalf = np.arange(N // 2 + 1, dtype=float)
+        mesh = np.meshgrid(*([kfull] * (n - 1) + [khalf]), indexing="ij")
+        self.kv = np.stack(mesh)
+        self.k2 = np.sum(self.kv**2, axis=0)
+        self.k2_safe = self.k2.copy()
+        self.k2_safe[(0,) * n] = 1.0
+        self.dealias = np.all(np.abs(self.kv) <= N // 3, axis=0)
+        self.helm = 1.0 + self.alpha**2 * self.k2
+        self.npoints = grid.npoints
+        self.shape = grid.shape
+
+    def project(self, state):
+        kdot = np.sum(self.kv * state, axis=0)
+        out = state - self.kv * (kdot / self.k2_safe)[None]
+        zero = (slice(None),) + (0,) * self.grid.n
+        out[zero] = state[zero]
+        return out
+
+    def nonlinear(self, state):
+        n = self.grid.n
+        jac_hat = (1j * self.kv[None, :] * state[:, None]).reshape(
+            (n * n,) + self.k2.shape
+        )
+        phys = _fft.irfftn(
+            np.concatenate([state, jac_hat]) * self.npoints, self.shape
+        )
+        u = phys[:n]
+        jac = phys[n:].reshape((n, n) + self.shape)
+        conv = np.einsum("j...,ij...->i...", u, jac)
+        if self.alpha > 0:
+            deform = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+            rotation = jac - np.swapaxes(jac, 0, 1)
+            prod = np.einsum("ik...,kj...->ij...", deform, rotation)
+            fwd = _fft.rfftn(
+                np.concatenate([conv, prod.reshape((n * n,) + self.shape)]), n
+            ) * (self.dealias / self.npoints)
+            vhat = fwd[:n]
+            tau_hat = (
+                self.alpha**2 * fwd[n:].reshape((n, n) + self.k2.shape)
+                / self.helm[None, None]
+            )
+            vhat = vhat + np.einsum("j...,ij...->i...", 1j * self.kv, tau_hat)
+        else:
+            vhat = _fft.rfftn(conv, n) * (self.dealias / self.npoints)
+        return -self.project(vhat)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n,N", [(2, 16), (2, 32), (3, 16), (3, 32)])
+def test_nonlinear_matches_slow_path(n, N, alpha):
+    grid = Grid(n, N)
+    stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
+    slow = _SlowKernel(grid, alpha)
+    rng = np.random.default_rng(17 * n + N)
+    # white noise: content on every mode, most of it outside the 2/3 mask
+    state = stepper.to_state(VectorField(grid, rng.standard_normal((n,) + grid.shape)))
+    power = np.abs(state) ** 2
+    assert np.sum(power[:, ~slow.dealias]) > 0.3 * np.sum(power)
+    got = stepper.nonlinear(state)
+    assert _rel_err(got, slow.nonlinear(state)) <= 1e-14
+    assert not np.any(got[:, ~slow.dealias])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n,N", [(2, 16), (3, 16), (3, 32)])
+def test_nonlinear_matches_physical_space_oracle(n, N, alpha):
+    # band-limited and divergence-free inside the mask: the kernel's
+    # convective form equals div(u (x) u) and no product aliases
+    grid = Grid(n, N)
+    stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
+    u = random_divergence_free(grid, seed=5)
+    want = -stepper.to_state(leray_project(nonlinearity_V(u, alpha)))
+    assert _rel_err(stepper.nonlinear(stepper.to_state(u)), want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_forward_norm_is_exact_rescaling(n):
+    grid = Grid(n, 32)
+    x = np.random.default_rng(3).standard_normal((4,) + grid.shape)
+    spec = _fft.rfftn(x, n)
+    assert np.array_equal(_fft.rfftn(x, n, norm="forward"), spec / grid.npoints)
+    assert np.array_equal(
+        _fft.irfftn(spec, grid.shape, norm="forward"),
+        _fft.irfftn(spec * grid.npoints, grid.shape),
+    )
