@@ -45,12 +45,7 @@ from .fields import (
 )
 from .grid import Grid, kmag, ksq
 from .operators import lambda_power
-from .paraproduct import (
-    block_bound_rhs,
-    decompose_product_block,
-    paraproduct_T,
-    remainder_R,
-)
+from .paraproduct import block_bound_rhs, decompose_product_block, product_terms
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import InitialSpec, SolverConfig, Trajectory, expect_type, solve_ivp
 from .timenorms import ct_norm, lsigma_norm
@@ -182,10 +177,8 @@ def check_paraproduct_reconstruction(grid, *, pairs=20, seed=0):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 1)
         g = random_band_mixture(grid, seed=seed + 2 * t + 1, j_hi=fam.j_max - 1)
         fg = pointwise_product(f, g)
-        total = (
-            paraproduct_T(fam, f, g) + paraproduct_T(fam, g, f) + remainder_R(fam, f, g)
-        )
-        defects.append(l2_norm(fg - total) / l2_norm(fg))
+        ti, tii, tiii = product_terms(fam, f, g)
+        defects.append(l2_norm(fg - (ti + tii + tiii)) / l2_norm(fg))
     worst = _finite_max(defects)
     return CheckReport(pairs, defects, worst, worst <= 1e-8)
 
@@ -197,12 +190,13 @@ def check_block_decomposition(grid, *, pairs=10, seed=0):
         f = random_band_mixture(grid, seed=seed + 2 * t, j_hi=fam.j_max - 1)
         g = random_band_mixture(grid, seed=seed + 2 * t + 1, j_hi=fam.j_max - 1)
         fg = pointwise_product(f, g)
+        terms = product_terms(fam, f, g)
         for j in range(fam.j_max + 1):
             target = fam.delta_j(fg, j)
             ref = l2_norm(target)
             if ref < 1e-14:
                 continue
-            ti, tii, tiii = decompose_product_block(fam, f, g, j)
+            ti, tii, tiii = (fam.delta_j(term, j) for term in terms)
             defects.append(l2_norm(target - (ti + tii + tiii)) / ref)
     worst = _finite_max(defects)
     return CheckReport(pairs, defects, worst, worst <= 1e-8)
@@ -956,8 +950,9 @@ def parse_params(check_id, params):
 
     Raises ConfigError, naming the check and the key, for an unknown key, a
     missing required key, a value of the wrong type or out of its range
-    (`_RANGES`), an invalid grid or a run the solver refuses.  Floats are
-    converted with float(); other values pass through.
+    (`_RANGES`), an empty j_lo..j_hi range, an invalid grid or a run the
+    solver refuses.  Floats are converted with float(); other values pass
+    through.
     """
     spec = check_parameters(check_id)
     where = f"check '{check_id}'"
@@ -986,6 +981,12 @@ def parse_params(check_id, params):
             raise ConfigError(
                 f"{where}: parameter {key!r} must be {requirement}, got {kwargs[key]!r}"
             )
+    j_lo, j_hi = kwargs.get("j_lo"), kwargs.get("j_hi")
+    if j_lo is not None and j_hi is not None and j_lo > j_hi:
+        # an empty block range would pass vacuously
+        raise ConfigError(
+            f"{where}: parameter 'j_lo' must be <= 'j_hi', got j_lo={j_lo}, j_hi={j_hi}"
+        )
     if "run" in inspect.signature(CHECKS[check_id]).parameters:
         run = {key: kwargs.pop(key) for key in _parameters(_run_config) if key in kwargs}
         try:

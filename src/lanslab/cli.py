@@ -164,7 +164,7 @@ def cmd_solve(args):
     traj = solve_ivp(
         cfg.initial_field(),
         cfg,
-        sample_stride=max(1, cfg.snapshot_stride) if cfg.snapshot_stride else None,
+        sample_stride=max(0, cfg.snapshot_stride),
         besov_stride=max(1, cfg.csv_stride),
     )
     manifest.data["timings_s"]["solve"] = time.perf_counter() - t0
@@ -292,12 +292,12 @@ def _sweep_alpha(cfg, values, out_dir, manifest):
     from .fields import l2_norm
 
     base_cfg = cfg.with_updates(alpha=0.0)
-    base = solve_ivp(base_cfg.initial_field(), base_cfg).final()
+    base = solve_ivp(base_cfg.initial_field(), base_cfg, sample_stride=0).final()
     rows = []
     gaps, alphas = [], []
     for a in values:
         run_cfg = cfg.with_updates(alpha=float(a))
-        final = solve_ivp(run_cfg.initial_field(), run_cfg).final()
+        final = solve_ivp(run_cfg.initial_field(), run_cfg, sample_stride=0).final()
         gap = l2_norm(final - base)
         rows.append((float(a), gap))
         if a > 0 and gap > 0:
@@ -317,8 +317,7 @@ def _sweep_grid(cfg, values, out_dir, manifest):
     rows = []
     for N in values:
         run_cfg = cfg.with_updates(N=int(N))
-        traj = solve_ivp(run_cfg.initial_field(), run_cfg)
-        s = traj.series
+        s = solve_ivp(run_cfg.initial_field(), run_cfg, sample_stride=0).series
         rows.append(
             (int(N), float(s["energy"][-1]), float(s["l2"][-1]), float(s["grad_l2"][-1]),
              float(s["div_residual"][-1]))

@@ -139,14 +139,28 @@ class DyadicFamily:
 
     def block_samples(self, f):
         """All blocks at once: returns (low, blocks) as real sample arrays
-        of shape (ncomp, ...) and (j_max+1, ncomp, ...)."""
-        F = to_spectral(f)
-        tables = np.concatenate([self.low_hat[None], self.psi_hat])
-        stacked = tables[:, None, ...] * F.coeffs[None, ...]
-        flat = stacked.reshape((-1,) + self.grid.shape)
-        phys = np.real(_fft.ifftn(flat * self.grid.npoints, self.grid.n))
-        phys = phys.reshape(stacked.shape)
-        return phys[0], phys[1:]
+        of shape (ncomp, ...) and (j_max+1, ncomp, ...), views of one
+        (j_max+2, ncomp, ...) array.
+
+        `f` must be a real field or the spectrum of one.  The tables are
+        taken in pairs (low, psi_0), (psi_1, psi_2), ...: A and B are real
+        and even and F is Hermitian, so one inverse of F (A + iB) holds
+        block A in its real part and block B in its imaginary part.  The
+        packed pairs are built per call, never stored.
+        """
+        F = to_spectral(f).coeffs
+        grid = self.grid
+        tables = self.s_hat.shape[0]
+        packed = np.zeros(((tables + 1) // 2,) + grid.shape, dtype=np.complex128)
+        # the 1/N^n of ifftn is undone on the tables (exact: N^n is a power of two)
+        np.multiply(self.low_hat, grid.npoints, out=packed[0].real)
+        np.multiply(self.psi_hat[1::2], grid.npoints, out=packed[1:].real)
+        np.multiply(self.psi_hat[0::2], grid.npoints, out=packed[: tables // 2].imag)
+        phys = _fft.ifftn(packed[:, None] * F[None], grid.n)
+        out = np.empty((tables,) + F.shape)
+        out[0::2] = phys.real
+        out[1::2] = phys.imag[: tables // 2]
+        return out[0], out[1:]
 
     # -- norms ------------------------------------------------------------
 
@@ -167,7 +181,7 @@ class DyadicFamily:
         length j_max+1), memoized on `f`."""
         from .fields import lp_norm
 
-        memo = f._block_norms.setdefault((self.grid, self.j_max), {})
+        memo = f._memo.setdefault((self.grid, self.j_max), {})
         if p not in memo:
             F = to_spectral(f)
             if not memo:

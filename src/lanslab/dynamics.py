@@ -14,9 +14,10 @@ the dynamics reduce to incompressible Navier-Stokes.
 
 import numpy as np
 
+from . import _fft
 from .errors import GridMismatchError
 from .fields import SpectralField, VectorField, dealias_array, to_real, to_spectral
-from .grid import ksq
+from .grid import dealias_mask, ksq, wavevectors
 from .operators import divergence_tensor, gradient_tensor
 
 
@@ -36,8 +37,6 @@ def reynolds_stress(u, alpha):
     rotation = jac - np.swapaxes(jac, 0, 1)
     prod = np.einsum("ik...,kj...->ij...", deform, rotation)
     flat = dealias_array(grid, prod.reshape((-1,) + grid.shape))
-    from . import _fft
-
     prod_hat = _fft.fftn(flat, grid.n) / grid.npoints
     tau_hat = a2 * prod_hat / (1.0 + a2 * ksq(grid))
     tau = np.real(_fft.ifftn(tau_hat * grid.npoints, grid.n))
@@ -51,23 +50,56 @@ def reynolds_stress_divergence(u, alpha):
     return divergence_tensor(u.grid, reynolds_stress(u, alpha))
 
 
-def momentum_flux_divergence(u):
-    """div(u (x) u), j-th component sum_k d_k(u_j u_k), dealiased."""
-    grid = u.grid
-    flux = u.data[:, None, ...] * u.data[None, :, ...]
-    flux = dealias_array(grid, flux.reshape((-1,) + grid.shape)).reshape(flux.shape)
-    return divergence_tensor(grid, flux)
-
-
 def nonlinearity_V(u, alpha):
-    """Unprojected nonlinearity div(u (x) u) + div tau(u).
+    """Unprojected nonlinearity div(u (x) u) + div tau(u), in one pass.
+
+    Accepts a real field or its spectrum and returns the matching kind, as
+    `apply_multiplier` does.  The flux u (x) u is formed in physical space
+    and dealiased there; the stress product Def . Om is formed from the
+    spectral gradient and filtered by mask alpha^2/(1 + alpha^2 |k|^2) in
+    spectral space.  The two n x n spectra are summed and contracted with
+    ik once.  Spectral input takes n + 3 n(n+1)/2 + 2 n^2 transforms of N^n
+    points (39 at n = 3): u, the flux dealias round trip and transform on
+    the upper triangle of the symmetric flux, the gradient and the stress
+    transform.
 
     Bilinear in u at alpha = 0: V(lam u) = lam^2 V(u) exactly.
     """
-    out = momentum_flux_divergence(u)
-    if float(alpha) != 0.0:
-        out = out + reynolds_stress_divergence(u, alpha)
-    return out
+    grid = u.grid
+    if u.ncomp != grid.n:
+        raise GridMismatchError("nonlinearity needs a velocity field")
+    n, shape = grid.n, grid.shape
+    spectral_in = isinstance(u, SpectralField)
+    # scaled by N^n so that ifftn returns samples (exact: a power of two)
+    U = to_spectral(u).coeffs * grid.npoints
+    phys = np.real(_fft.ifftn(U, n)) if spectral_in else u.data
+    # u (x) u is symmetric: transform its upper triangle only
+    upper = np.triu_indices(n)
+    flux = phys[upper[0]] * phys[upper[1]]
+    flux_hat = _fft.fftn(dealias_array(grid, flux), n)
+    del flux
+    slot = np.empty((n, n), dtype=int)
+    slot[upper] = slot.T[upper] = np.arange(len(upper[0]))
+    ik = 1j * wavevectors(grid)
+    a2 = float(alpha) ** 2
+    if a2 != 0.0:
+        jac = np.real(_fft.ifftn(U[:, None] * ik[None], n))  # J[i, j] = d_j u_i
+        twice_def = jac + jac.swapaxes(0, 1)
+        jac -= jac.swapaxes(0, 1)  # Om; numpy buffers the overlapping operands
+        prod = np.einsum("ik...,kj...->ij...", twice_def, jac).reshape((-1,) + shape)
+        del jac, twice_def
+        total = _fft.fftn(prod, n).reshape((n, n) + shape)
+        del prod
+        total *= (0.5 * a2) * dealias_mask(grid) / (1.0 + a2 * ksq(grid))
+        for i, j in np.ndindex(n, n):
+            total[i, j] += flux_hat[slot[i, j]]
+    else:
+        total = flux_hat[slot]
+    del flux_hat
+    vhat = np.einsum("j...,ij...->i...", ik, total)
+    vhat /= grid.npoints
+    out = SpectralField(grid, vhat)
+    return out if spectral_in else to_real(out)
 
 
 def semigroup_apply(phi, t, nu=1.0):

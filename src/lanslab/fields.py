@@ -6,9 +6,9 @@ spectral counterpart stores full complex Fourier coefficients in fft order,
 conjugate-symmetric whenever it represents a real field.
 
 Both kinds are immutable: frozen, with read-only arrays.  That makes it safe
-for `DyadicFamily.block_lp_norms` to memoize its per-block norms on the
-field object itself (the `_block_norms` slot, excluded from comparison and
-repr).
+to memoize derived quantities on the field object itself (the `_memo` slot,
+excluded from comparison and repr): `DyadicFamily.block_lp_norms` keeps its
+per-block norms there and the paraproducts their block stacks.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from .grid import Grid, coordinates, dealias_mask, kmag
 class VectorField:
     grid: Grid
     data: np.ndarray  # (ncomp, N, ..., N), float64
-    _block_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -66,7 +66,7 @@ class VectorField:
 class SpectralField:
     grid: Grid
     coeffs: np.ndarray  # (ncomp, N, ..., N), complex128, fft order
-    _block_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.complex128))

@@ -19,9 +19,16 @@ from .fields import VectorField, dealias_array
 
 
 def _extended_blocks(family, f):
-    """Block samples with the low-pass prepended at index 0."""
-    low, blocks = family.block_samples(f)
-    return np.concatenate([low[None], blocks])
+    """Block samples with the low-pass prepended at index 0, as one
+    read-only array memoized on `f`: every paraproduct, remainder and bound
+    of a product split reuses each factor's decomposition."""
+    key = ("extended_blocks", family.grid, family.j_max)
+    if key not in f._memo:
+        low, blocks = family.block_samples(f)
+        stack = np.concatenate([low[None], blocks])
+        stack.setflags(write=False)
+        f._memo[key] = stack
+    return f._memo[key]
 
 
 def paraproduct_T(family, f, g, dealias=True):
@@ -59,6 +66,11 @@ def remainder_R(family, f, g, dealias=True):
     return VectorField(family.grid, acc)
 
 
+def product_terms(family, f, g):
+    """(T_f g, T_g f, R(f, g)); they sum to fg for band-limited inputs."""
+    return paraproduct_T(family, f, g), paraproduct_T(family, g, f), remainder_R(family, f, g)
+
+
 def decompose_product_block(family, f, g, j):
     """Block image of the product: Delta_j(fg) = I + II + III.
 
@@ -66,10 +78,7 @@ def decompose_product_block(family, f, g, j):
     arithmetic makes each an exact regrouping, so the three fields sum to
     Delta_j(fg) up to round-off for band-limited inputs.
     """
-    term_i = family.delta_j(paraproduct_T(family, f, g), j)
-    term_ii = family.delta_j(paraproduct_T(family, g, f), j)
-    term_iii = family.delta_j(remainder_R(family, f, g), j)
-    return term_i, term_ii, term_iii
+    return tuple(family.delta_j(term, j) for term in product_terms(family, f, g))
 
 
 def block_bound_rhs(family, f, g, j, p):

@@ -140,9 +140,6 @@ def picard_solve(u0, cfg, family=None):
     def spectra_of(states):
         return (SpectralField(grid, c) for c in states)
 
-    def fields_of(states):
-        return [to_real(F) for F in spectra_of(states)]
-
     # norms are taken on the spectra held here, never on a physical round
     # trip, one state at a time; norms of one SpectralField at equal p share
     # its memoized block norms
@@ -156,17 +153,16 @@ def picard_solve(u0, cfg, family=None):
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
     current = gamma
-    current_fields = fields_of(gamma)
     residuals, ratios, membership, membership_ok = [], [], [], []
     converged = False
     sweeps = 0
     for sweeps in range(1, pp.max_iter + 1):
         # forcing at the quadrature nodes (the last output time is T itself,
-        # excluded from the node set)
+        # excluded from the node set), from the held spectra
         forc = np.stack(
             [
-                stokes_project(to_spectral(nonlinearity_V(f, cfg.alpha)), cfg.alpha).coeffs
-                for f in current_fields[:-1]
+                stokes_project(nonlinearity_V(F, cfg.alpha), cfg.alpha).coeffs
+                for F in spectra_of(current[:-1])
             ]
         ).reshape((tg.panels, tg.nodes_per_panel) + u0.coeffs.shape)
         correction = duhamel_on_nodes(forc, tg, nu, k2, out_times)
@@ -191,7 +187,7 @@ def picard_solve(u0, cfg, family=None):
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
 
-        current, current_fields = updated, fields_of(updated)
+        current = updated
         if residual <= pp.tol:
             converged = True
             break
@@ -211,7 +207,7 @@ def picard_solve(u0, cfg, family=None):
         membership_ok=membership_ok,
     )
     times = np.concatenate([[0.0], out_times])
-    fields_list = [to_real(u0)] + current_fields
+    fields_list = [to_real(F) for F in (u0, *spectra_of(current))]
     traj = Trajectory(times=times, fields=fields_list)
     return traj, report
 

@@ -383,6 +383,9 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
     Returns a Trajectory whose `series` dict carries per-step scalars
     (t, energy, l2, grad_l2, div_residual) and, when besov_stride > 0,
     subsampled Besov norms in the configured base and critical spaces.
+    Its fields are the states every `sample_stride` steps (by default
+    about 100 of them) and the final state; sample_stride = 0 keeps the
+    final state only.
     Raises BlowUpError when the L^2 norm crosses cfg.blowup_threshold.
     """
     grid = cfg.grid
@@ -414,7 +417,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
         t_series[i] = t
         for key, value in zip(cols, diag):
             cols[key][i] = value
-        keep_sample = i % sample_stride == 0 or i == nsteps
+        keep_sample = i == nsteps or (sample_stride > 0 and i % sample_stride == 0)
         if keep_sample:
             times.append(t)
             fields.append(stepper.to_field(state))

@@ -69,6 +69,29 @@ def test_solve_determinism_byte_identical(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
+def test_solve_without_snapshots_keeps_only_the_final_field(tmp_path, monkeypatch):
+    from lanslab import cli
+
+    solve_ivp, kept = cli.solve_ivp, []
+
+    def spy(*args, **kwargs):
+        kept.append(solve_ivp(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "solve_ivp", spy)
+    out0, out1 = tmp_path / "o0", tmp_path / "o1"
+    cfg0 = write_cfg(tmp_path, "c0.json", csv_stride=3)
+    cfg1 = write_cfg(tmp_path, "c1.json", csv_stride=3, snapshot_stride=1)
+    assert main(["solve", "--config", str(cfg0), "--out", str(out0)]) == 0
+    assert main(["solve", "--config", str(cfg1), "--out", str(out1)]) == 0
+    assert len(kept[0].fields) <= 1
+    assert len(kept[1].fields) == 11  # every step of T/dt = 10, and t = 0
+    assert not list(out0.glob("field_*.lans"))
+    # the Besov rows convert their own states: the CSV does not depend on
+    # which states the trajectory keeps
+    assert (out0 / "trajectory.csv").read_bytes() == (out1 / "trajectory.csv").read_bytes()
+
+
 def test_solve_snapshots_round_trip(tmp_path):
     from lanslab.fieldio import read_field
 

@@ -214,3 +214,27 @@ def test_coverage_warning_fires_once_per_field():
         assert len(caught) == 1
         fam.besov_norm(g, BesovIndex(1.0, 2, 2))
         assert len(caught) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N, j_max", [(16, None), (32, None), (32, 2), (32, 1), (16, 0)])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_paired_block_samples_match_per_table_blocks(n, N, j_max, ncomp):
+    # j_max + 2 tables: odd and even counts leave the last pair full or half
+    fam = DyadicFamily(Grid(n, N), j_max)
+    f = random_band_mixture(fam.grid, seed=24, ncomp=ncomp, j_hi=fam.j_max)
+    want_low = fam.low_pass(f).data
+    want = np.stack([fam.delta_j(f, j).data for j in range(fam.j_max + 1)])
+    scale = max(np.max(np.abs(want_low)), np.max(np.abs(want)))
+    for given in (f, to_spectral(f)):
+        low, blocks = fam.block_samples(given)
+        assert low.shape == want_low.shape and blocks.shape == want.shape
+        assert np.max(np.abs(low - want_low)) <= 1e-13 * scale
+        assert np.max(np.abs(blocks - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("j_max", [None, 2])
+def test_block_samples_of_zero_field_are_exact_zeros(family3d, j_max):
+    fam = DyadicFamily(family3d.grid, j_max)
+    low, blocks = fam.block_samples(zero_field(family3d.grid, 3))
+    assert not np.any(low) and not np.any(blocks)

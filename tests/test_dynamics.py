@@ -4,24 +4,51 @@ import numpy as np
 import pytest
 
 from lanslab.fields import (
+    SpectralField,
+    VectorField,
+    dealias_array,
     fourier_mode,
     l2_norm,
+    random_band_mixture,
     random_divergence_free,
+    to_real,
+    to_spectral,
     zero_field,
 )
-from lanslab.grid import coordinates
+from lanslab.grid import Grid, coordinates
 from lanslab.dynamics import (
-    momentum_flux_divergence,
     nonlinearity_V,
     reynolds_stress,
     reynolds_stress_divergence,
     semigroup_apply,
 )
+from lanslab.operators import divergence_tensor
 
 
 def shear_field(grid):
     # u = (sin y, 0, 0)
     return fourier_mode(grid, (0, 1, 0), comp=0, ncomp=3, kind="sin")
+
+
+def momentum_flux_divergence(u):
+    """div(u (x) u) through physical samples: the slow path of the flux
+    half of `nonlinearity_V`."""
+    grid = u.grid
+    flux = u.data[:, None, ...] * u.data[None, :, ...]
+    flux = dealias_array(grid, flux.reshape((-1,) + grid.shape)).reshape(flux.shape)
+    return divergence_tensor(grid, flux)
+
+
+def _velocity(kind, grid, seed):
+    if kind == "mixture":
+        return random_band_mixture(grid, seed=seed, ncomp=grid.n)
+    # white noise: most of its spectrum lies outside the dealiasing mask
+    rng = np.random.default_rng(seed)
+    return VectorField(grid, rng.standard_normal((grid.n,) + grid.shape))
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def test_stress_tensor_shear_closed_form(grid3d):
@@ -99,3 +126,31 @@ def test_semigroup_decays_high_modes_faster(grid3d):
     r_hi = l2_norm(semigroup_apply(hi, t)) / l2_norm(hi)
     assert r_hi < r_lo
     assert r_hi == pytest.approx(math.exp(-16 * t), rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16), Grid(3, 16), Grid(3, 32)], ids=str)
+@pytest.mark.parametrize("kind", ["mixture", "white"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_nonlinearity_single_pass_matches_slow_path(grid, kind, alpha):
+    u = _velocity(kind, grid, seed=31)
+    slow = momentum_flux_divergence(u) + reynolds_stress_divergence(u, alpha)
+    real_out = nonlinearity_V(u, alpha)
+    spectral_out = nonlinearity_V(to_spectral(u), alpha)
+    assert isinstance(real_out, VectorField)
+    assert isinstance(spectral_out, SpectralField)
+    assert _rel(real_out.data, slow.data) <= 1e-13
+    assert _rel(to_real(spectral_out).data, slow.data) <= 1e-13
+    assert _rel(spectral_out.coeffs, to_spectral(slow).coeffs) <= 1e-13
+
+
+def test_nonlinearity_spectral_zero_is_exact(grid3d):
+    out = nonlinearity_V(to_spectral(zero_field(grid3d)), 1.0)
+    assert isinstance(out, SpectralField)
+    assert np.max(np.abs(out.coeffs)) == 0.0
+
+
+def test_nonlinearity_rejects_non_velocity(grid3d):
+    from lanslab.errors import GridMismatchError
+
+    with pytest.raises(GridMismatchError):
+        nonlinearity_V(zero_field(grid3d, 1), 1.0)

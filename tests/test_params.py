@@ -81,6 +81,8 @@ SUITE_PROBES = {
                        ["checks[1]", "partition_of_unity", "'j_max'"]),
     "unresolved_j_hi": ({"id": "bernstein", "params": {**BERNSTEIN, "j_hi": 9}},
                         ["checks[1]", "bernstein", "'j_hi'", "<= 2"]),
+    "empty_block_range": ({"id": "bernstein", "params": {**BERNSTEIN, "j_lo": 2, "j_hi": 1}},
+                          ["checks[1]", "bernstein", "'j_lo'", "'j_hi'"]),
     "no_trials": ({"id": "product", "params": {"n": 2, "N": 16, "trials": 0}},
                   ["checks[1]", "product", "'trials'", "at least 1"]),
     "zero_sample_stride": ({"id": "energy_monotone", "params": {"n": 2, "N": 16, "sample_stride": 0}},

@@ -12,6 +12,7 @@ from lanslab.paraproduct import (
     block_bound_rhs,
     decompose_product_block,
     paraproduct_T,
+    product_terms,
     remainder_R,
 )
 
@@ -109,3 +110,20 @@ def test_block_bounds_hold_with_moderate_constant(family3d):
                 else:
                     assert lhs < 1e-10
     assert np.isfinite(worst) and worst < 10.0
+
+
+def test_product_split_decomposes_each_factor_once(family3d, monkeypatch):
+    from lanslab.dyadic import DyadicFamily
+
+    calls = []
+    original = DyadicFamily.block_samples
+    monkeypatch.setattr(
+        DyadicFamily, "block_samples", lambda fam, f: calls.append(f) or original(fam, f)
+    )
+    f = random_band_mixture(family3d.grid, seed=50)
+    g = random_band_mixture(family3d.grid, seed=51)
+    product_terms(family3d, f, g)
+    for j in range(family3d.j_max + 1):
+        decompose_product_block(family3d, f, g, j)
+        block_bound_rhs(family3d, f, g, j, p=2)
+    assert [id(h) for h in calls] == [id(f), id(g)]

@@ -52,6 +52,38 @@ def test_zero_data_one_sweep():
     assert l2_norm(traj.final()) == 0.0
 
 
+# Recorded with the slow path: one inverse FFT per dyadic table, and a
+# real-space round trip per node and sweep.  Tolerances as in the benchmark's
+# picard gate: residuals rtol 1e-6 plus 1e-11 of the first residual, the
+# trajectory's base norms rtol 1e-9.
+SLOW_PATH_RESIDUALS = [
+    0.001919217700828901, 5.694993621816324e-06, 1.9756759551362758e-08, 7.637592310550953e-11
+]
+SLOW_PATH_U_BESOV = [
+    0.9828103499522891, 0.8074589715883776, 0.4773461511627151,
+    0.22968760774603236, 0.06445607832061587, 0.04513090911971966,
+]
+
+
+def test_held_spectra_path_matches_slow_path_record():
+    from lanslab.dyadic import BesovIndex, build_dyadic_family
+    from lanslab.solver import PicardParams
+
+    cfg = picard_cfg(
+        seed=5,
+        initial=InitialSpec("random_divfree", 0.05),
+        picard=PicardParams(tol=1e-10, panels=2, nodes_per_panel=2),
+    )
+    traj, rep = picard_solve(cfg.initial_field(), cfg)
+    assert rep.iterates == len(SLOW_PATH_RESIDUALS)
+    floor = 1e-11 * SLOW_PATH_RESIDUALS[0]
+    for got, want in zip(rep.residuals, SLOW_PATH_RESIDUALS):
+        assert abs(got - want) <= 1e-6 * want + floor
+    fam = build_dyadic_family(cfg.grid)
+    base = [fam.besov_norm(f, BesovIndex(2.5, 2, 2)) for f in traj.fields]
+    assert base == pytest.approx(SLOW_PATH_U_BESOV, rel=1e-9)
+
+
 def test_small_data_contracts_geometrically():
     cfg = picard_cfg()
     traj, rep = picard_solve(cfg.initial_field(), cfg)

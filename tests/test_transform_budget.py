@@ -1,0 +1,54 @@
+"""Transform budgets of the Picard path's fast kernels.
+
+Every c2c transform goes through `lanslab._fft.fftn`/`ifftn`; these tests
+count the points they are handed, so an edit that brings back a round trip
+(a real-space detour, one inverse per dyadic table) fails here.
+"""
+
+import pytest
+
+from lanslab import _fft
+from lanslab.dyadic import build_dyadic_family
+from lanslab.dynamics import nonlinearity_V
+from lanslab.fields import random_band_mixture, random_divergence_free, to_spectral
+from lanslab.grid import Grid
+from lanslab.operators import stokes_project
+
+GRID = Grid(3, 32)
+NPTS = GRID.npoints
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Points handed to each c2c transform, in call order."""
+    points = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(_fft, name)
+
+        def wrapper(a, nax, _original=original):
+            points.append(a.size)
+            return _original(a, nax)
+
+        monkeypatch.setattr(_fft, name, wrapper)
+    return points
+
+
+def test_block_samples_pairs_the_tables(counted):
+    fam = build_dyadic_family(GRID)  # j_max = 3: five tables
+    F = to_spectral(random_band_mixture(GRID, seed=1, ncomp=3))
+    counted.clear()
+    fam.block_samples(F)
+    # three paired inverses per component, not five
+    assert sum(counted) <= 9 * NPTS
+    assert len(counted) == 1
+
+
+@pytest.mark.parametrize("alpha, budget", [(1.0, 39), (0.0, 21)])
+def test_spectral_nonlinearity_budget(counted, alpha, budget):
+    F = to_spectral(random_divergence_free(GRID, seed=2))
+    counted.clear()
+    stokes_project(nonlinearity_V(F, alpha), alpha)
+    # u (3), the dealias round trip and transform of the flux's upper
+    # triangle (18), and at alpha > 0 the gradient (9) and the stress
+    # transform (9); the real-space route took 96
+    assert sum(counted) <= budget * NPTS
