@@ -4,7 +4,7 @@ with a dyadic/Besov analysis toolkit and an estimate-verification harness."""
 __version__ = "0.1.0"
 
 from .dyadic import BesovIndex, DyadicFamily, build_dyadic_family
-from .dynamics import nonlinearity_V, reynolds_stress, semigroup_apply
+from .dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
 from .fields import (
     SpectralField,
     VectorField,
@@ -45,7 +45,7 @@ __all__ = [
     "nonlinearity_V",
     "picard_solve",
     "random_band_limited",
-    "reynolds_stress",
+    "reynolds_stress_divergence",
     "semigroup_apply",
     "solve_ivp",
     "stokes_project",

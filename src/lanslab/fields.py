@@ -9,6 +9,9 @@ Both kinds are immutable: frozen, with read-only arrays.  That makes it safe
 to memoize derived quantities on the field object itself (the `_memo` slot,
 excluded from comparison and repr): `DyadicFamily.block_lp_norms` keeps its
 per-block norms there and the paraproducts their block stacks.
+
+Every spectral operator returns the kind it is given: real in, real out;
+spectrum in, spectrum out.  `like` is the one place that rule is written.
 """
 
 from dataclasses import dataclass, field
@@ -113,13 +116,11 @@ def to_real(F):
     return VectorField(F.grid, data)
 
 
-def conjugate_symmetry_defect(F):
-    """max_k |c(-k) - conj(c(k))|, zero for spectra of real fields."""
-    flips = tuple(range(1, F.grid.n + 1))
-    mirrored = F.coeffs.copy()
-    for ax in flips:
-        mirrored = np.flip(np.roll(mirrored, -1, axis=ax), axis=ax)
-    return float(np.max(np.abs(mirrored - np.conj(F.coeffs))))
+def like(f, coeffs):
+    """The field with spectrum `coeffs`, of the same kind as `f`: a
+    SpectralField for spectral `f`, its real samples otherwise."""
+    out = SpectralField(f.grid, coeffs)
+    return out if isinstance(f, SpectralField) else to_real(out)
 
 
 def lp_norm(f, p):
@@ -142,11 +143,11 @@ def l2_norm(f):
     return lp_norm(f, 2)
 
 
-def pointwise_product(f, g, dealias=True):
+def pointwise_product(f, g):
     """Grid product of two fields (scalar*scalar, or scalar*vector).
 
-    With dealias=True the product spectrum is truncated by the 2/3-rule so
-    aliased modes never contaminate multiplier-based analysis downstream.
+    The product spectrum is truncated by the 2/3-rule so aliased modes
+    never contaminate multiplier-based analysis downstream.
     """
     if f.grid != g.grid:
         raise GridMismatchError("product of fields on different grids")
@@ -155,10 +156,7 @@ def pointwise_product(f, g, dealias=True):
         a, b = b, a
     elif g.ncomp != 1 and f.ncomp != g.ncomp:
         raise GridMismatchError("component mismatch in product")
-    prod = a * b
-    if dealias:
-        prod = dealias_array(f.grid, prod)
-    return VectorField(f.grid, prod)
+    return VectorField(f.grid, dealias_array(f.grid, a * b))
 
 
 def dealias_array(grid, data):

@@ -1,88 +1,31 @@
-"""Fourier-multiplier operators: derivatives, Helmholtz inverse, fractional
-Laplacian, Leray projection and the Stokes projector.
+"""Fourier-multiplier operators: Helmholtz inverse, fractional Laplacian,
+divergence, Leray projection and the Stokes projector.
 
 Every operator here is a constant-coefficient multiplier on the lattice, so
-they commute exactly and preserve band limits.  The Leray and Stokes
-projections are implemented as genuinely different computations (direct
-orthogonal projection vs. solving the filtered pressure problem) so their
-agreement on the torus can be used as a cross-check rather than a tautology.
+they commute exactly and preserve band limits.  Each takes a real field or
+its spectrum and returns the same kind (`fields.like`); `divergence` always
+returns real samples.  The Leray and Stokes projections are implemented as
+genuinely different computations (direct orthogonal projection vs. solving
+the filtered pressure problem) so their agreement on the torus can be used
+as a cross-check rather than a tautology.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fft
 from .errors import GridMismatchError
-from .fields import SpectralField, to_real, to_spectral
-from .grid import ksq, ksq_safe, wavevectors
-
-
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Scalar Fourier symbol tabulated on the full lattice."""
-
-    grid: object
-    table: np.ndarray  # (N, ..., N) real or complex
-
-    def __post_init__(self):
-        arr = np.asarray(self.table)
-        if arr.shape != self.grid.shape:
-            raise GridMismatchError("symbol table does not match grid")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("symbol table must be bounded on the lattice")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
-
-
-def laplacian_symbol(grid):
-    return MultiplierSymbol(grid, -ksq(grid))
-
-
-def helmholtz_symbol(grid, alpha):
-    """Symbol of (1 - alpha^2 Lap)^{-1}; everywhere positive."""
-    return MultiplierSymbol(grid, 1.0 / (1.0 + float(alpha) ** 2 * ksq(grid)))
-
-
-def lambda_symbol(grid, a):
-    """Symbol of (-Lap)^{a/2}; a=0 is the identity."""
-    from .grid import kmag
-
-    if a == 0:
-        return MultiplierSymbol(grid, np.ones(grid.shape))
-    return MultiplierSymbol(grid, kmag(grid) ** float(a))
-
-
-def apply_multiplier(symbol, f):
-    """Coefficientwise product; accepts real or spectral input and returns
-    the matching kind.  Real-valued even symbols preserve reality."""
-    if symbol.grid != f.grid:
-        raise GridMismatchError("symbol and field live on different grids")
-    if isinstance(f, SpectralField):
-        return SpectralField(f.grid, f.coeffs * symbol.table)
-    F = to_spectral(f)
-    return to_real(SpectralField(f.grid, F.coeffs * symbol.table))
+from .fields import SpectralField, like, to_real, to_spectral
+from .grid import kmag, ksq, ksq_safe, wavevectors
 
 
 def helmholtz_inverse(f, alpha):
     """(1 - alpha^2 Lap)^{-1} f."""
-    return apply_multiplier(helmholtz_symbol(f.grid, alpha), f)
+    table = 1.0 / (1.0 + float(alpha) ** 2 * ksq(f.grid))
+    return like(f, to_spectral(f).coeffs * table)
 
 
 def lambda_power(f, a):
-    """(-Lap)^{a/2} f (kills the mean for a > 0)."""
-    return apply_multiplier(lambda_symbol(f.grid, a), f)
-
-
-def gradient_tensor(f):
-    """Jacobian samples J[i, j] = d_j u_i, shape (ncomp, n, N, ..., N)."""
-    grid = f.grid
-    kv = wavevectors(grid)
-    coeffs = to_spectral(f).coeffs
-    jac = 1j * kv[None, :, ...] * coeffs[:, None, ...]
-    flat = jac.reshape((-1,) + grid.shape)
-    return np.real(_fft.ifftn(flat * grid.npoints, grid.n)).reshape(jac.shape)
+    """(-Lap)^{a/2} f (kills the mean for a > 0; a = 0 is the identity)."""
+    return like(f, to_spectral(f).coeffs * kmag(f.grid) ** float(a))
 
 
 def divergence(f):
@@ -93,15 +36,6 @@ def divergence(f):
     kv = wavevectors(grid)
     coeffs = to_spectral(f).coeffs
     div_hat = np.sum(1j * kv * coeffs, axis=0, keepdims=True)
-    return to_real(SpectralField(grid, div_hat))
-
-
-def divergence_tensor(grid, tensor):
-    """(div T)_i = sum_j d_j T_ij for tensor samples of shape (n, n, ...)."""
-    kv = wavevectors(grid)
-    flat = tensor.reshape((-1,) + grid.shape)
-    t_hat = (_fft.fftn(flat, grid.n) / grid.npoints).reshape(tensor.shape)
-    div_hat = np.sum(1j * kv[None, ...] * t_hat, axis=1)
     return to_real(SpectralField(grid, div_hat))
 
 
@@ -119,8 +53,7 @@ def leray_project(f):
     """Orthogonal projection onto divergence-free fields:
     u_hat(k) <- u_hat(k) - k (k.u_hat) / |k|^2, mean mode untouched."""
     grid = f.grid
-    spectral_in = isinstance(f, SpectralField)
-    F = f if spectral_in else to_spectral(f)
+    F = to_spectral(f)
     if F.ncomp != grid.n:
         raise GridMismatchError("projection needs one component per axis")
     kv = wavevectors(grid)
@@ -129,8 +62,7 @@ def leray_project(f):
     # k = 0: kdotu is 0 there only by cancellation; restore explicitly
     zero = (slice(None),) + (0,) * grid.n
     proj[zero] = F.coeffs[zero]
-    out = SpectralField(grid, proj)
-    return out if spectral_in else to_real(out)
+    return like(f, proj)
 
 
 def stokes_project(f, alpha):
@@ -142,8 +74,7 @@ def stokes_project(f, alpha):
     pressure route keeps the computation independent of `leray_project`.
     """
     grid = f.grid
-    spectral_in = isinstance(f, SpectralField)
-    F = f if spectral_in else to_spectral(f)
+    F = to_spectral(f)
     if F.ncomp != grid.n:
         raise GridMismatchError("projection needs one component per axis")
     a2 = float(alpha) ** 2
@@ -154,6 +85,4 @@ def stokes_project(f, alpha):
     q_hat = -1j * helm * kdotw / ksq_safe(grid)
     q_hat[(0,) * grid.n] = 0.0
     grad_q = 1j * kv * q_hat[None, ...]
-    proj = F.coeffs - grad_q / helm[None, ...]
-    out = SpectralField(grid, proj)
-    return out if spectral_in else to_real(out)
+    return like(f, F.coeffs - grad_q / helm[None, ...])

@@ -31,7 +31,7 @@ def _extended_blocks(family, f):
     return f._memo[key]
 
 
-def paraproduct_T(family, f, g, dealias=True):
+def paraproduct_T(family, f, g):
     """Low-high paraproduct T_f g = sum_k (S_{k-2} f)(Delta_k g)."""
     bf = _extended_blocks(family, f)  # index m <-> block m-1
     bg = _extended_blocks(family, g)
@@ -45,12 +45,10 @@ def paraproduct_T(family, f, g, dealias=True):
         elif k >= 2:
             partial = partial + bf[k - 1]
         acc += partial * bg[k + 1]
-    if dealias:
-        acc = dealias_array(family.grid, acc)
-    return VectorField(family.grid, acc)
+    return VectorField(family.grid, dealias_array(family.grid, acc))
 
 
-def remainder_R(family, f, g, dealias=True):
+def remainder_R(family, f, g):
     """Diagonal remainder R(f,g) = sum_k (sum_{|l-k|<=1} Delta_l f)(Delta_k g),
     with the low-pass included as the k = -1 block."""
     bf = _extended_blocks(family, f)
@@ -61,9 +59,7 @@ def remainder_R(family, f, g, dealias=True):
         lo, hi = max(k - 1, 0), min(k + 1, nblocks - 1)
         near = np.sum(bf[lo : hi + 1], axis=0)
         acc += near * bg[k]
-    if dealias:
-        acc = dealias_array(family.grid, acc)
-    return VectorField(family.grid, acc)
+    return VectorField(family.grid, dealias_array(family.grid, acc))
 
 
 def product_terms(family, f, g):

@@ -199,17 +199,15 @@ def config_from_dict(raw):
 
 @dataclass
 class Trajectory:
-    """Time-ordered field samples plus cached scalar series.
+    """Time-ordered field samples plus scalar series.
 
     `series` holds per-step diagnostics from the stepper (times, energy,
-    L^2 and gradient norms, divergence residuals); `norm_cache` memoizes
-    Besov norms computed by the time functionals.
+    L^2 and gradient norms, divergence residuals).
     """
 
     times: np.ndarray
     fields: list
     series: dict = field(default_factory=dict)
-    norm_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -377,7 +375,7 @@ class SpectralStepper:
         return k2
 
 
-def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
+def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     """Integrate the filtered dynamics from u0 over [0, cfg.T].
 
     Returns a Trajectory whose `series` dict carries per-step scalars
@@ -402,7 +400,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0, family=None):
     if besov_stride:
         from .dyadic import BesovIndex, build_dyadic_family
 
-        family = family or build_dyadic_family(grid)
+        family = build_dyadic_family(grid)
         besov_idx = (
             BesovIndex(cfg.besov.r, 2, cfg.besov.q),
             BesovIndex(1.0 + grid.n / 2.0, 2, cfg.besov.q),

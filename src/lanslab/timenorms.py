@@ -5,24 +5,20 @@ a > 0 the t = 0 sample is skipped (the weight vanishes there and the
 functional is controlled by the first positive sample).  lsigma_norm is
 the L^sigma-in-time Besov norm, integrated with composite Simpson on the
 trajectory's native sample grid.
-"""
 
-from dataclasses import dataclass
+The per-field block norms are memoized on each field (`DyadicFamily.
+block_lp_norms`), so a second functional at the same p transforms nothing.
+"""
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .dyadic import BesovIndex, build_dyadic_family
+from .dyadic import build_dyadic_family
 
 
 def _norm_series(traj, idx, family=None):
     family = family or build_dyadic_family(traj.grid)
-    key = ("besov", idx.s, idx.p, idx.q, family.j_max)
-    cached = traj.norm_cache.get(key)
-    if cached is None or len(cached) != len(traj.fields):
-        cached = np.array([family.besov_norm(f, idx) for f in traj.fields])
-        traj.norm_cache[key] = cached
-    return cached
+    return np.array([family.besov_norm(f, idx) for f in traj.fields])
 
 
 def ct_norm(traj, a, idx, family=None):
@@ -49,29 +45,3 @@ def lsigma_norm(traj, sigma, idx, family=None):
         return 0.0
     val = simpson(norms**sigma, x=times)
     return float(max(val, 0.0) ** (1.0 / sigma))
-
-
-@dataclass(frozen=True)
-class TimeFunctional:
-    """Declarative description of a trajectory functional.
-
-    kind = "sup-weighted" evaluates sup_t t^exponent ||.||; kind =
-    "integral" evaluates the L^exponent-in-time norm.
-    """
-
-    kind: str
-    exponent: float
-    idx: BesovIndex
-
-    def __post_init__(self):
-        if self.kind not in ("sup-weighted", "integral"):
-            raise ValueError(f"unknown functional kind '{self.kind}'")
-        if self.kind == "sup-weighted" and self.exponent < 0:
-            raise ValueError("sup-weighted exponent must be >= 0")
-        if self.kind == "integral" and self.exponent < 1:
-            raise ValueError("integral exponent must be >= 1")
-
-    def __call__(self, traj, family=None):
-        if self.kind == "sup-weighted":
-            return ct_norm(traj, self.exponent, self.idx, family)
-        return lsigma_norm(traj, self.exponent, self.idx, family)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lanslab import _fft
 from lanslab.fields import (
     SpectralField,
     VectorField,
@@ -15,19 +16,60 @@ from lanslab.fields import (
     to_spectral,
     zero_field,
 )
-from lanslab.grid import Grid, coordinates
+from lanslab.grid import Grid, coordinates, ksq, wavevectors
 from lanslab.dynamics import (
     nonlinearity_V,
-    reynolds_stress,
     reynolds_stress_divergence,
     semigroup_apply,
 )
-from lanslab.operators import divergence_tensor
 
 
 def shear_field(grid):
     # u = (sin y, 0, 0)
     return fourier_mode(grid, (0, 1, 0), comp=0, ncomp=3, kind="sin")
+
+
+# Slow reference path: the tensors as physical samples, one c2c round trip
+# per stage.  The fast kernels in lanslab.dynamics are compared against it.
+
+
+def gradient_tensor(f):
+    """Jacobian samples J[i, j] = d_j u_i, shape (ncomp, n, N, ..., N)."""
+    grid = f.grid
+    kv = wavevectors(grid)
+    coeffs = to_spectral(f).coeffs
+    jac = 1j * kv[None, :, ...] * coeffs[:, None, ...]
+    flat = jac.reshape((-1,) + grid.shape)
+    return np.real(_fft.ifftn(flat * grid.npoints, grid.n)).reshape(jac.shape)
+
+
+def divergence_tensor(grid, tensor):
+    """(div T)_i = sum_j d_j T_ij for tensor samples of shape (n, n, ...)."""
+    kv = wavevectors(grid)
+    flat = tensor.reshape((-1,) + grid.shape)
+    t_hat = (_fft.fftn(flat, grid.n) / grid.npoints).reshape(tensor.shape)
+    div_hat = np.sum(1j * kv[None, ...] * t_hat, axis=1)
+    return to_real(SpectralField(grid, div_hat))
+
+
+def reynolds_stress(u, alpha):
+    """Filtered Reynolds stress tensor, samples of shape (n, n, N, ..., N).
+
+    The tensor product is dealiased before the Helmholtz inversion.
+    """
+    grid = u.grid
+    a2 = float(alpha) ** 2
+    if a2 == 0.0:
+        return np.zeros((grid.n, grid.n) + grid.shape)
+    jac = gradient_tensor(u)
+    deform = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+    rotation = jac - np.swapaxes(jac, 0, 1)
+    prod = np.einsum("ik...,kj...->ij...", deform, rotation)
+    flat = dealias_array(grid, prod.reshape((-1,) + grid.shape))
+    prod_hat = _fft.fftn(flat, grid.n) / grid.npoints
+    tau_hat = a2 * prod_hat / (1.0 + a2 * ksq(grid))
+    tau = np.real(_fft.ifftn(tau_hat * grid.npoints, grid.n))
+    return tau.reshape(prod.shape)
 
 
 def momentum_flux_divergence(u):
@@ -49,6 +91,15 @@ def _velocity(kind, grid, seed):
 
 def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_gradient_tensor_shear(grid3d):
+    u = shear_field(grid3d)
+    jac = gradient_tensor(u)
+    _, y, _ = coordinates(grid3d)
+    assert np.allclose(jac[0, 1], np.cos(y), atol=1e-12)
+    others = [jac[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 1)]
+    assert max(np.max(np.abs(o)) for o in others) < 1e-12
 
 
 def test_stress_tensor_shear_closed_form(grid3d):
@@ -133,7 +184,10 @@ def test_semigroup_decays_high_modes_faster(grid3d):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_nonlinearity_single_pass_matches_slow_path(grid, kind, alpha):
     u = _velocity(kind, grid, seed=31)
-    slow = momentum_flux_divergence(u) + reynolds_stress_divergence(u, alpha)
+    slow_stress = divergence_tensor(grid, reynolds_stress(u, alpha))
+    slow = momentum_flux_divergence(u) + slow_stress
+    stress = reynolds_stress_divergence(u, alpha).data
+    assert np.max(np.abs(stress - slow_stress.data)) <= 1e-13 * np.max(np.abs(slow_stress.data))
     real_out = nonlinearity_V(u, alpha)
     spectral_out = nonlinearity_V(to_spectral(u), alpha)
     assert isinstance(real_out, VectorField)

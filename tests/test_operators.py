@@ -3,25 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanslab.errors import GridMismatchError
+from lanslab.dyadic import build_dyadic_family
+from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
 from lanslab.fields import (
+    SpectralField,
+    VectorField,
     fourier_mode,
     l2_norm,
     random_band_mixture,
     random_divergence_free,
+    to_real,
     to_spectral,
 )
-from lanslab.grid import Grid
+from lanslab.grid import Grid, ksq
 from lanslab.operators import (
-    MultiplierSymbol,
-    apply_multiplier,
     div_l2_residual,
     divergence,
-    gradient_tensor,
     helmholtz_inverse,
-    helmholtz_symbol,
     lambda_power,
-    laplacian_symbol,
     leray_project,
     stokes_project,
 )
@@ -29,14 +28,14 @@ from lanslab.operators import (
 
 def test_laplacian_on_single_mode(grid3d):
     f = fourier_mode(grid3d, (2, 0, 0))  # |k|^2 = 4
-    g = apply_multiplier(laplacian_symbol(grid3d), f)
-    assert np.allclose(g.data, -4.0 * f.data, atol=1e-12)
+    g = lambda_power(f, 2.0)  # -Lap
+    assert np.allclose(g.data, 4.0 * f.data, atol=1e-12)
 
 
-def test_identity_symbol(grid3d, rng):
-    f = random_band_mixture(grid3d, seed=11)
-    ident = MultiplierSymbol(grid3d, np.ones(grid3d.shape))
-    assert np.allclose(apply_multiplier(ident, f).data, f.data)
+def test_identity_symbol(grid3d):
+    # Lambda^0 has symbol |k|^0 = 1 on the whole lattice, k = 0 included
+    F = to_spectral(random_band_mixture(grid3d, seed=11))
+    assert np.array_equal(lambda_power(F, 0.0).coeffs, F.coeffs)
 
 
 def test_lambda_power_on_mode(grid3d):
@@ -46,27 +45,19 @@ def test_lambda_power_on_mode(grid3d):
     assert np.allclose(lambda_power(f, 0.0).data, f.data)
 
 
-def test_symbol_grid_mismatch(grid2d, grid3d):
-    sym = laplacian_symbol(grid2d)
-    f = fourier_mode(grid3d, (1, 0, 0))
-    with pytest.raises(GridMismatchError):
-        apply_multiplier(sym, f)
-
-
 def test_helmholtz_factor_and_inverse_pair(grid3d):
     f = fourier_mode(grid3d, (2, 0, 0))
     g = helmholtz_inverse(f, alpha=1.0)
     assert np.allclose(g.data, 0.2 * f.data, atol=1e-12)
     assert np.allclose(helmholtz_inverse(f, 0.0).data, f.data)
     # composition with (1 - alpha^2 Lap) is the identity
-    forward = MultiplierSymbol(grid3d, 1.0 / helmholtz_symbol(grid3d, 0.7).table)
-    h = apply_multiplier(forward, helmholtz_inverse(f, 0.7))
+    g_hat = to_spectral(helmholtz_inverse(f, 0.7)).coeffs
+    h = to_real(SpectralField(grid3d, g_hat * (1.0 + 0.49 * ksq(grid3d))))
     assert np.max(np.abs(h.data - f.data)) < 1e-12
 
 
 def test_leray_kills_gradients(grid3d):
     # gradient field grad g has spectral coefficients i k g_hat
-    from lanslab.fields import SpectralField, to_real
     from lanslab.grid import wavevectors
 
     g_hat = to_spectral(random_band_mixture(grid3d, seed=2)).coeffs[0]
@@ -111,20 +102,37 @@ def test_stokes_preserves_divergence_free(grid3d):
     assert l2_norm(v - u) <= 1e-12 * max(1.0, l2_norm(u))
 
 
-def test_gradient_tensor_shear(grid3d):
-    u = fourier_mode(grid3d, (0, 1, 0), comp=0, ncomp=3, kind="sin")  # (sin y, 0, 0)
-    jac = gradient_tensor(u)
-    from lanslab.grid import coordinates
-
-    _, y, _ = coordinates(grid3d)
-    assert np.allclose(jac[0, 1], np.cos(y), atol=1e-12)
-    others = [jac[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 1)]
-    assert max(np.max(np.abs(o)) for o in others) < 1e-12
-
-
 def test_stokes_commutes_with_forward_transform(grid3d):
     v = random_band_mixture(grid3d, seed=31, ncomp=3)
     spectral_first = stokes_project(to_spectral(v), 0.7).coeffs
     real_first = to_spectral(stokes_project(v, 0.7)).coeffs
     scale = np.max(np.abs(real_first))
     assert np.max(np.abs(spectral_first - real_first)) <= 1e-14 * scale
+
+
+_FAMILY = build_dyadic_family(Grid(3, 16))
+SAME_KIND_OPERATORS = {
+    "helmholtz_inverse": lambda f: helmholtz_inverse(f, 0.7),
+    "lambda_power": lambda f: lambda_power(f, 1.5),
+    "leray_project": leray_project,
+    "stokes_project": lambda f: stokes_project(f, 0.7),
+    "semigroup_apply": lambda f: semigroup_apply(f, 0.1, nu=0.5),
+    "nonlinearity_V": lambda f: nonlinearity_V(f, 0.7),
+    "reynolds_stress_divergence": lambda f: reynolds_stress_divergence(f, 0.7),
+    "delta_j": lambda f: _FAMILY.delta_j(f, 1),
+    "low_pass": _FAMILY.low_pass,
+    "s_j(-2)": lambda f: _FAMILY.s_j(f, -2),
+    "s_j(1)": lambda f: _FAMILY.s_j(f, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_KIND_OPERATORS))
+def test_operator_returns_the_kind_it_is_given(name):
+    op = SAME_KIND_OPERATORS[name]
+    u = random_divergence_free(_FAMILY.grid, seed=23)
+    real_out = op(u)
+    spectral_out = op(to_spectral(u))
+    assert isinstance(real_out, VectorField)
+    assert isinstance(spectral_out, SpectralField)
+    want = spectral_out.coeffs
+    assert np.max(np.abs(to_spectral(real_out).coeffs - want)) <= 1e-14 * np.max(np.abs(want))

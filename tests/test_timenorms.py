@@ -7,7 +7,7 @@ from lanslab.dyadic import BesovIndex, build_dyadic_family
 from lanslab.dynamics import semigroup_apply
 from lanslab.fields import constant_field, random_band_mixture, zero_field
 from lanslab.solver import Trajectory
-from lanslab.timenorms import TimeFunctional, ct_norm, lsigma_norm
+from lanslab.timenorms import ct_norm, lsigma_norm
 
 
 def const_traj(grid, f, T=1.0, nsamples=9):
@@ -69,33 +69,17 @@ def test_lsigma_semigroup_finite(grid3d_small):
     assert math.isfinite(val) and val > 0
 
 
-def test_functional_validation():
-    idx = BesovIndex(1.0, 2, 2)
-    with pytest.raises(ValueError):
-        TimeFunctional("sup-weighted", -1.0, idx)
-    with pytest.raises(ValueError):
-        TimeFunctional("integral", 0.5, idx)
-    with pytest.raises(ValueError):
-        TimeFunctional("bogus", 1.0, idx)
+def test_second_functional_at_same_p_makes_no_fft(grid3d_small, monkeypatch):
+    from lanslab import _fft
 
-
-def test_functional_dispatch(grid3d_small):
-    grid = grid3d_small
-    fam = build_dyadic_family(grid)
-    f = random_band_mixture(grid, seed=4, j_hi=fam.j_max - 1)
-    traj = const_traj(grid, f)
-    idx = BesovIndex(1.0, 2, 2)
-    sup_f = TimeFunctional("sup-weighted", 0.0, idx)
-    int_f = TimeFunctional("integral", 2.0, idx)
-    assert sup_f(traj, fam) == pytest.approx(ct_norm(traj, 0.0, idx, fam))
-    assert int_f(traj, fam) == pytest.approx(lsigma_norm(traj, 2.0, idx, fam))
-
-
-def test_norm_cache_reused(grid3d_small):
     grid = grid3d_small
     fam = build_dyadic_family(grid)
     f = random_band_mixture(grid, seed=5, j_hi=fam.j_max - 1)
     traj = const_traj(grid, f)
-    idx = BesovIndex(1.0, 2, 2)
-    ct_norm(traj, 0.0, idx, fam)
-    assert any(k[0] == "besov" for k in traj.norm_cache)
+    ct_norm(traj, 0.0, BesovIndex(1.0, 2, 2), fam)
+    calls = []
+    original = _fft.ifftn
+    monkeypatch.setattr(_fft, "ifftn", lambda *a: calls.append(1) or original(*a))
+    ct_norm(traj, 0.5, BesovIndex(2.0, 2, math.inf), fam)
+    lsigma_norm(traj, 2.0, BesovIndex(1.5, 2, 1), fam)
+    assert calls == []

@@ -1,4 +1,4 @@
-"""Transform budgets of the Picard path's fast kernels.
+"""Transform budgets of the spectral kernels.
 
 Every c2c transform goes through `lanslab._fft.fftn`/`ifftn`; these tests
 count the points they are handed, so an edit that brings back a round trip
@@ -9,7 +9,7 @@ import pytest
 
 from lanslab import _fft
 from lanslab.dyadic import build_dyadic_family
-from lanslab.dynamics import nonlinearity_V
+from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence
 from lanslab.fields import random_band_mixture, random_divergence_free, to_spectral
 from lanslab.grid import Grid
 from lanslab.operators import stokes_project
@@ -52,3 +52,12 @@ def test_spectral_nonlinearity_budget(counted, alpha, budget):
     # triangle (18), and at alpha > 0 the gradient (9) and the stress
     # transform (9); the real-space route took 96
     assert sum(counted) <= budget * NPTS
+
+
+def test_stress_divergence_budget(counted):
+    u = random_divergence_free(GRID, seed=3)
+    counted.clear()
+    reynolds_stress_divergence(u, 1.0)
+    # u (3), the gradient (9), the stress transform (9) and the result (3);
+    # the tensor route through physical samples took 60
+    assert sum(counted) <= 24 * NPTS
