@@ -18,9 +18,9 @@ unknown keys, missing required keys and mistyped values with a
 ConfigError.  Dynamic checks take `run`, built from the run table of
 `_run_config`, and make their own solver runs, so suites are
 self-contained.  Values a well-typed parameter may still not take (a
-dyadic index the grid does not resolve, a trial count below 1, an empty
-time grid, a run the solver refuses) are ConfigErrors too, raised before
-any check runs.
+dyadic index the grid does not resolve, a trial count or an exponent
+below 1, a horizon T <= 0, an empty time grid, a run the solver refuses)
+are ConfigErrors too, raised before any check runs.
 """
 
 import inspect
@@ -34,19 +34,22 @@ from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
 from .errors import ConfigError, ParameterGateError
 from .fields import (
+    SpectralField,
     embed_to,
+    fourier_mode,
     l2_norm,
     lp_norm,
     pointwise_product,
     random_band_limited,
     random_band_mixture,
     random_divergence_free,
+    to_real,
     to_spectral,
 )
 from .grid import Grid, kmag, ksq
 from .operators import lambda_power
 from .paraproduct import block_bound_rhs, decompose_product_block, product_terms
-from .quadrature import duhamel_on_nodes, make_time_grid
+from .quadrature import duhamel_apply, duhamel_on_nodes, make_time_grid
 from .solver import InitialSpec, SolverConfig, Trajectory, expect_type, solve_ivp
 from .timenorms import ct_norm, lsigma_norm
 
@@ -86,16 +89,36 @@ class CheckReport:
         }
 
 
-def _finite_max(ratios):
-    arr = [r for r in ratios if r is not None]
-    return max(arr) if arr else 0.0
+def _ratio_report(ensemble, ratios, ok=True, **details):
+    """The report of an ensemble of ratios: its empirical constant is the
+    largest ratio (0 for none), and it passes when that is finite and `ok`."""
+    worst = max(ratios, default=0.0)
+    return CheckReport(ensemble, ratios, worst, math.isfinite(worst) and bool(ok), details)
 
 
-def _scale_stable(per_scale, factor=10.0):
+def _refined_report(fam, trials, draw, ratio, refine, **details):
+    """`_ratio_report` of `ratio(draw(t), fam)` over the trials.  With
+    `refine`, the first 20 draws are embedded at 2N as well, and the report
+    passes only if the refinement factor, the largest ratio there over the
+    largest on the same draws at N, lies in [0.5, 2]."""
+    ratios = [ratio(draw(t), fam) for t in range(trials)]
+    stable = True
+    if refine:
+        fine = Grid(fam.grid.n, fam.grid.N * 2)
+        fam_fine = build_dyadic_family(fine, fam.j_max)
+        sub = range(min(trials, 20))
+        factor = max(ratio(embed_to(draw(t), fine), fam_fine) for t in sub) / max(
+            ratios[: len(sub)]
+        )
+        details["refinement_factor"] = factor
+        stable = 0.5 <= factor <= 2.0
+    return _ratio_report(trials, ratios, stable, **details)
+
+
+def _scale_stable(per_scale):
+    """Whether the positive per-scale constants lie within a factor 10."""
     vals = [v for v in per_scale if v > 0]
-    if len(vals) < 2:
-        return True
-    return max(vals) / min(vals) <= factor
+    return len(vals) < 2 or max(vals) / min(vals) <= 10.0
 
 
 # ----------------------------------------------------------------------
@@ -108,13 +131,7 @@ def check_partition_of_unity(grid, *, j_max: int | None = None):
     total = fam.low_hat + fam.psi_hat.sum(axis=0)
     covered = km <= 2.0**fam.j_max
     defect = float(np.max(np.abs(total[covered] - 1.0)))
-    return CheckReport(
-        ensemble=int(covered.sum()),
-        ratios=[defect],
-        max_ratio=defect,
-        passed=defect <= 1e-12,
-        details={"j_max": fam.j_max},
-    )
+    return _ratio_report(int(covered.sum()), [defect], defect <= 1e-12, j_max=fam.j_max)
 
 
 def check_support_orthogonality(grid, *, trials=20, seed=0):
@@ -127,7 +144,7 @@ def check_support_orthogonality(grid, *, trials=20, seed=0):
             for m in range(fam.j_max + 1):
                 if abs(j - m) >= 2:
                     worst = max(worst, l2_norm(fam.delta_j(fam.delta_j(f, m), j)) / nf)
-    return CheckReport(trials, [worst], worst, worst <= 1e-12)
+    return _ratio_report(trials, [worst], worst <= 1e-12)
 
 
 def check_support_product_low(grid, *, trials=10, seed=0):
@@ -143,7 +160,7 @@ def check_support_product_low(grid, *, trials=10, seed=0):
             for j in range(fam.j_max + 1):
                 if abs(j - k) >= 3:
                     worst = max(worst, l2_norm(fam.delta_j(prod, j)) / scale)
-    return CheckReport(trials, [worst], worst, worst <= 1e-10)
+    return _ratio_report(trials, [worst], worst <= 1e-10)
 
 
 def check_support_product_high(grid, *, trials=10, seed=0):
@@ -161,13 +178,7 @@ def check_support_product_high(grid, *, trials=10, seed=0):
                 for j in range(m + 4, fam.j_max + 1):
                     tested += 1
                     worst = max(worst, l2_norm(fam.delta_j(prod, j)) / scale)
-    return CheckReport(
-        trials,
-        [worst],
-        worst,
-        worst <= 1e-10,
-        details={"pairs_tested": tested},
-    )
+    return _ratio_report(trials, [worst], worst <= 1e-10, pairs_tested=tested)
 
 
 def check_paraproduct_reconstruction(grid, *, pairs=20, seed=0):
@@ -179,8 +190,7 @@ def check_paraproduct_reconstruction(grid, *, pairs=20, seed=0):
         fg = pointwise_product(f, g)
         ti, tii, tiii = product_terms(fam, f, g)
         defects.append(l2_norm(fg - (ti + tii + tiii)) / l2_norm(fg))
-    worst = _finite_max(defects)
-    return CheckReport(pairs, defects, worst, worst <= 1e-8)
+    return _ratio_report(pairs, defects, all(d <= 1e-8 for d in defects))
 
 
 def check_block_decomposition(grid, *, pairs=10, seed=0):
@@ -198,8 +208,7 @@ def check_block_decomposition(grid, *, pairs=10, seed=0):
                 continue
             ti, tii, tiii = (fam.delta_j(term, j) for term in terms)
             defects.append(l2_norm(target - (ti + tii + tiii)) / ref)
-    worst = _finite_max(defects)
-    return CheckReport(pairs, defects, worst, worst <= 1e-8)
+    return _ratio_report(pairs, defects, all(d <= 1e-8 for d in defects))
 
 
 def check_bony_bounds(grid, *, pairs=10, seed=0, p=2.0):
@@ -227,15 +236,8 @@ def check_bony_bounds(grid, *, pairs=10, seed=0, p=2.0):
                     ratios.append(ratio)
                     best = max(best, ratio)
         per_scale[j] = best
-    worst = _finite_max(ratios)
-    stable = _scale_stable(list(per_scale.values()))
-    return CheckReport(
-        pairs,
-        ratios,
-        worst,
-        math.isfinite(worst) and stable,
-        details={"per_scale_max": per_scale, "scale_stable": stable},
-    )
+    stable = _scale_stable(per_scale.values())
+    return _ratio_report(pairs, ratios, stable, per_scale_max=per_scale, scale_stable=stable)
 
 
 def check_k2_tail(*, r: float, k_max=60):
@@ -296,21 +298,14 @@ def check_embedding(
             fam.besov_norm(f, BesovIndex(gamma2, p2, q1))
             / fam.besov_norm(f, BesovIndex(gamma1, p1, q1))
         )
-    worst = max(
-        _finite_max(ratios_smooth),
-        _finite_max(ratios_lp),
-        _finite_max(ratios_integrability),
-    )
+    lp_max, integrability_max = max(ratios_lp), max(ratios_integrability)
+    worst = max(max(ratios_smooth), lp_max, integrability_max)
     return CheckReport(
         trials,
         ratios_smooth,
         worst,
         math.isfinite(worst) and worst <= 10.0,
-        details={
-            "lp_vs_besov_max": _finite_max(ratios_lp),
-            "integrability_max": _finite_max(ratios_integrability),
-            "gamma1": gamma1,
-        },
+        details={"lp_vs_besov_max": lp_max, "integrability_max": integrability_max, "gamma1": gamma1},
     )
 
 
@@ -334,31 +329,29 @@ def check_bernstein(
             ratios.append(ratio)
             best = max(best, ratio)
         per_scale[j] = best
-    worst = _finite_max(ratios)
     spread = max(ratios) / min(ratios) if ratios else 1.0
     # single mode |k| = 2^j at p = q = 2, first-order: ratio is exactly 1
-    from .fields import fourier_mode
-
     kvec = [0] * n
     kvec[0] = 2 ** j_lo
     mode = fourier_mode(grid, kvec)
     exact = lp_norm(lambda_power(mode, 1.0).data, 2) / (2.0**j_lo * lp_norm(mode, 2))
-    return CheckReport(
+    return _ratio_report(
         trials * (j_hi - j_lo + 1),
         ratios,
-        worst,
-        math.isfinite(worst) and spread <= 4.0 and abs(exact - 1.0) <= 1e-12,
-        details={"per_scale_max": per_scale, "spread": spread, "single_mode_ratio": exact},
+        spread <= 4.0 and abs(exact - 1.0) <= 1e-12,
+        per_scale_max=per_scale,
+        spread=spread,
+        single_mode_ratio=exact,
     )
 
 
-def _heat_weight_profile(fam, u, s0, p0, s1, p1, q, t_grid, nu=1.0):
+def _heat_weight_profile(fam, u, s0, p0, s1, p1, q, t_grid):
     n = fam.grid.n
     sigma = (s1 - s0) + n * (1.0 / p0 - 1.0 / p1)
     denom = fam.besov_norm(u, BesovIndex(s0, p0, q))
     prof = []
     for t in t_grid:
-        val = fam.besov_norm(semigroup_apply(u, t, nu), BesovIndex(s1, p1, q))
+        val = fam.besov_norm(semigroup_apply(u, t), BesovIndex(s1, p1, q))
         prof.append(t ** (sigma / 2.0) * val / denom)
     return sigma, np.array(prof)
 
@@ -388,18 +381,9 @@ def check_heat_smoothing(
             rising = np.all(np.diff(prof[: imax + 1]) >= -1e-9 * np.max(prof))
             small_at_zero = prof[0] <= 0.25 * np.max(prof)
             decay_ok = decay_ok and rising and small_at_zero
-    worst = _finite_max(ratios)
-    if sigma == 0:
-        passed = worst <= 1.0 + 1e-10
-    else:
-        passed = math.isfinite(worst) and decay_ok
-    return CheckReport(
-        trials,
-        ratios,
-        worst,
-        bool(passed),
-        details={"sigma": sigma, "decay_to_zero": bool(decay_ok)},
-    )
+    # with no smoothing gap the semigroup contracts every block: C <= 1
+    ok = max(ratios) <= 1.0 + 1e-10 if sigma == 0 else decay_ok
+    return _ratio_report(trials, ratios, ok, sigma=sigma, decay_to_zero=bool(decay_ok))
 
 
 def check_product(grid, *, s=1.6, p=2.0, p1=3.0, q=2.0, trials=100, seed=0, refine=False):
@@ -413,44 +397,14 @@ def check_product(grid, *, s=1.6, p=2.0, p1=3.0, q=2.0, trials=100, seed=0, refi
             "product", "s > n(2/p1 - 1/p)", {"s": s, "bound": n * (2.0 / p1 - 1.0 / p)}
         )
     idx_out, idx_in = BesovIndex(s, p, q), BesovIndex(s, p1, q)
-
-    def run(g, fa):
-        out = []
-        for t in range(trials):
-            # two octaves of headroom: the squared field stays resolved
-            u = random_band_mixture(g, seed=seed + t, j_hi=fa.j_max - 2)
-            out.append(
-                fa.besov_norm(pointwise_product(u, u), idx_out)
-                / fa.besov_norm(u, idx_in) ** 2
-            )
-        return out
-
-    ratios = run(grid, fam)
-    worst = _finite_max(ratios)
-    details = {}
-    if refine:
-        fine = Grid(grid.n, grid.N * 2)
-        fam_fine = build_dyadic_family(fine, fam.j_max)
-        fine_ratios = []
-        for t in range(min(trials, 20)):
-            u = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 2)
-            uf = embed_to(u, fine)
-            fine_ratios.append(
-                fam_fine.besov_norm(pointwise_product(uf, uf), idx_out)
-                / fam_fine.besov_norm(uf, idx_in) ** 2
-            )
-        coarse_sub = ratios[: len(fine_ratios)]
-        factor = max(fine_ratios) / max(coarse_sub)
-        details["refinement_factor"] = factor
-        stable = 0.5 <= factor <= 2.0
-    else:
-        stable = True
-    return CheckReport(
+    return _refined_report(
+        fam,
         trials,
-        ratios,
-        worst,
-        math.isfinite(worst) and stable,
-        details=details,
+        # two octaves of headroom: the squared field stays resolved
+        lambda t: random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 2),
+        lambda u, fa: fa.besov_norm(pointwise_product(u, u), idx_out)
+        / fa.besov_norm(u, idx_in) ** 2,
+        refine,
     )
 
 
@@ -475,8 +429,7 @@ def check_moser(grid, *, s=1.5, p=1.0, p1=2.0, p2=2.0, r1=2.0, r2=2.0, q=2.0, tr
             g, r1
         ) * fam.besov_norm(f, BesovIndex(s, r2, q))
         ratios.append(lhs / rhs)
-    worst = _finite_max(ratios)
-    return CheckReport(trials, ratios, worst, math.isfinite(worst))
+    return _ratio_report(trials, ratios)
 
 
 def _tau_gate(check_id, n, r, p, p_bar, q):
@@ -501,41 +454,14 @@ def check_tau(
     fam = build_dyadic_family(grid)
     s_bar = _tau_gate("tau", grid.n, r, p, p_bar, q)
     idx_out, idx_in = BesovIndex(r, p_bar, q), BesovIndex(r, p, q)
-
-    def ratio_of(u, fa):
-        denom = fa.besov_norm(u, idx_in)
-        if denom < 1e-14:
-            return None
-        return fa.besov_norm(reynolds_stress_divergence(u, alpha), idx_out) / denom**2
-
-    ratios = []
-    for t in range(trials):
-        val = ratio_of(
-            random_divergence_free(grid, seed=seed + t, j_hi=fam.j_max - 2), fam
-        )
-        if val is not None:
-            ratios.append(val)
-    worst = _finite_max(ratios)
-    details = {"s_bar": s_bar}
-    stable = True
-    if refine:
-        fine = Grid(grid.n, grid.N * 2)
-        fam_fine = build_dyadic_family(fine, fam.j_max)
-        fine_ratios = []
-        for t in range(min(trials, 20)):
-            u = random_divergence_free(grid, seed=seed + t, j_hi=fam.j_max - 2)
-            val = ratio_of(embed_to(u, fine), fam_fine)
-            if val is not None:
-                fine_ratios.append(val)
-        factor = max(fine_ratios) / max(ratios[: len(fine_ratios)])
-        details["refinement_factor"] = factor
-        stable = 0.5 <= factor <= 2.0
-    return CheckReport(
-        len(ratios),
-        ratios,
-        worst,
-        math.isfinite(worst) and stable,
-        details=details,
+    return _refined_report(
+        fam,
+        trials,
+        lambda t: random_divergence_free(grid, seed=seed + t, j_hi=fam.j_max - 2),
+        lambda u, fa: fa.besov_norm(reynolds_stress_divergence(u, alpha), idx_out)
+        / fa.besov_norm(u, idx_in) ** 2,
+        refine,
+        s_bar=s_bar,
     )
 
 
@@ -564,7 +490,7 @@ def _trajectory(run):
     return solve_ivp(cfg.initial_field(), cfg, sample_stride=sample_stride)
 
 
-def energy_monotone_report(traj, alpha, dt, c_tol=10.0):
+def energy_monotone_report(traj, dt, c_tol):
     """Discrete energy decay plus the low-pass vs H^{1,2} domination."""
     energy = traj.series["energy"]
     tol = c_tol * dt**4 * energy[:-1]
@@ -598,19 +524,26 @@ def energy_monotone_report(traj, alpha, dt, c_tol=10.0):
 def check_energy_monotone(grid, *, c_tol=10.0, run):
     cfg, traj = run[0], _trajectory(run)
     dt_eff = cfg.T / max(1, int(round(cfg.T / cfg.dt)))
-    return energy_monotone_report(traj, cfg.alpha, dt_eff, c_tol)
+    return energy_monotone_report(traj, dt_eff, c_tol)
+
+
+def _rate_profiles(check_id, traj, r, q, n, norm):
+    """(times, B^r_{2,q} series, critical B^{1+n/2}_{2,q} series) of `traj`
+    under the family method `norm`, once r passes the r > 2 gate."""
+    if not r > 2:
+        raise ParameterGateError(check_id, "r > 2", {"r": r})
+    measure = getattr(build_dyadic_family(traj.grid), norm)
+    return (np.asarray(traj.times),) + tuple(
+        np.array([measure(f, BesovIndex(s, 2, q)) for f in traj.fields])
+        for s in (r, 1.0 + n / 2.0)
+    )
 
 
 def gronwall_report(traj, r, q, n):
     """Implied constant in the differential inequality for the dyadic norm."""
-    if not r > 2:
-        raise ParameterGateError("gronwall_differential", "r > 2", {"r": r})
-    fam = build_dyadic_family(traj.grid)
-    idx_r = BesovIndex(r, 2, q)
-    idx_crit = BesovIndex(1.0 + n / 2.0, 2, q)
-    times = np.asarray(traj.times)
-    norm_r = np.array([fam.dyadic_norm(f, idx_r) for f in traj.fields])
-    norm_crit = np.array([fam.dyadic_norm(f, idx_crit) for f in traj.fields])
+    times, norm_r, norm_crit = _rate_profiles(
+        "gronwall_differential", traj, r, q, n, "dyadic_norm"
+    )
     powq = norm_r**q
     implied = []
     for i in range(1, len(times) - 1):
@@ -618,14 +551,7 @@ def gronwall_report(traj, r, q, n):
         rhs = norm_crit[i] * powq[i]
         if rhs > 1e-300:
             implied.append(max(lhs, 0.0) / rhs)
-    worst = _finite_max(implied)
-    return CheckReport(
-        len(implied),
-        implied,
-        worst,
-        math.isfinite(worst),
-        details={"profile_times": list(times[1:-1])},
-    )
+    return _ratio_report(len(implied), implied, profile_times=list(times[1:-1]))
 
 
 def check_gronwall_differential(grid, *, r=2.5, q=2.0, run):
@@ -634,14 +560,7 @@ def check_gronwall_differential(grid, *, r=2.5, q=2.0, run):
 
 def apriori_report(traj, r, q, n):
     """Implied Gronwall constant in the exponential a priori bound."""
-    if not r > 2:
-        raise ParameterGateError("apriori_bound", "r > 2", {"r": r})
-    fam = build_dyadic_family(traj.grid)
-    idx_r = BesovIndex(r, 2, q)
-    idx_crit = BesovIndex(1.0 + n / 2.0, 2, q)
-    times = np.asarray(traj.times)
-    norm_r = np.array([fam.besov_norm(f, idx_r) for f in traj.fields])
-    norm_crit = np.array([fam.besov_norm(f, idx_crit) for f in traj.fields])
+    times, norm_r, norm_crit = _rate_profiles("apriori_bound", traj, r, q, n, "besov_norm")
     if norm_r[0] < 1e-300:
         raise ParameterGateError("apriori_bound", "nonzero initial data", {})
     c_profile = []
@@ -649,13 +568,8 @@ def apriori_report(traj, r, q, n):
         integral = simpson(norm_crit[: i + 1], x=times[: i + 1])
         if integral > 1e-300:
             c_profile.append(math.log(norm_r[i] / norm_r[0]) / integral)
-    sup_c = max(c_profile) if c_profile else 0.0
-    return CheckReport(
-        len(c_profile),
-        c_profile,
-        sup_c,
-        math.isfinite(sup_c),
-        details={"final_over_initial": float(norm_r[-1] / norm_r[0])},
+    return _ratio_report(
+        len(c_profile), c_profile, final_over_initial=float(norm_r[-1] / norm_r[0])
     )
 
 
@@ -667,9 +581,9 @@ def check_apriori_bound(grid, *, r=2.5, q=2.0, run):
 # operator mapping checks (semigroup / Duhamel / nonlinearity compositions)
 
 
-def _semigroup_trajectory(grid, u0, T, nsamples, nu=1.0):
-    ts = np.linspace(0.0, T, nsamples)
-    return Trajectory(times=ts, fields=[semigroup_apply(u0, t, nu) for t in ts])
+def _semigroup_trajectory(u0, ts):
+    """e^{t Lap} u0 sampled at the times ts."""
+    return Trajectory(times=ts, fields=[semigroup_apply(u0, t) for t in ts])
 
 
 def check_gamma_ct(grid, *, s0=1.0, s1=2.0, p0=2.0, p1=2.0, q=2.0, T=1.0, trials=5, seed=0):
@@ -680,19 +594,15 @@ def check_gamma_ct(grid, *, s0=1.0, s1=2.0, p0=2.0, p1=2.0, q=2.0, T=1.0, trials
             "gamma_ct", "s0 <= s1 and p0 <= p1", {"s0": s0, "s1": s1, "p0": p0, "p1": p1}
         )
     sigma = (s1 - s0) + grid.n * (1.0 / p0 - 1.0 / p1)
+    ts = np.linspace(0.0, T, 33)
     ratios = []
     for t in range(trials):
         u0 = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        traj = _semigroup_trajectory(grid, u0, T, 33)
         ratios.append(
-            ct_norm(traj, sigma / 2.0, BesovIndex(s1, p1, q), fam)
+            ct_norm(_semigroup_trajectory(u0, ts), sigma / 2.0, BesovIndex(s1, p1, q))
             / fam.besov_norm(u0, BesovIndex(s0, p0, q))
         )
-    worst = _finite_max(ratios)
-    return CheckReport(
-        trials, ratios, worst, math.isfinite(worst),
-        details={"sigma": sigma},
-    )
+    return _ratio_report(trials, ratios, sigma=sigma)
 
 
 def check_gamma_lsigma(
@@ -711,22 +621,18 @@ def check_gamma_lsigma(
     sigma = 1.0 / inv_sigma
     if sigma < 1:
         raise ParameterGateError("gamma_lsigma", "sigma >= 1", {"sigma": sigma})
+    ts = np.linspace(0.0, T, 65)
     ratios = []
     for t in range(trials):
         u0 = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        traj = _semigroup_trajectory(grid, u0, T, 65)
         ratios.append(
-            lsigma_norm(traj, sigma, BesovIndex(s1, p1, q), fam)
+            lsigma_norm(_semigroup_trajectory(u0, ts), sigma, BesovIndex(s1, p1, q))
             / fam.besov_norm(u0, BesovIndex(s0, p0, q))
         )
-    worst = _finite_max(ratios)
-    return CheckReport(
-        trials, ratios, worst, math.isfinite(worst),
-        details={"sigma": sigma},
-    )
+    return _ratio_report(trials, ratios, sigma=sigma)
 
 
-def _duhamel_of_weighted_forcing(grid, w, k0, tg, nu=1.0):
+def _duhamel_of_weighted_forcing(grid, w, k0, tg):
     """G applied to g(t) = t^{-k0} w on the graded node grid."""
     coeffs = to_spectral(w).coeffs
     tvals = tg.nodes.reshape(-1)
@@ -735,9 +641,7 @@ def _duhamel_of_weighted_forcing(grid, w, k0, tg, nu=1.0):
         (tg.panels, tg.nodes_per_panel) + coeffs.shape
     )
     out_times = np.append(tg.flat_nodes, tg.T)
-    out = duhamel_on_nodes(values, tg, nu, ksq(grid), out_times)
-    from .fields import SpectralField, to_real
-
+    out = duhamel_on_nodes(values, tg, 1.0, ksq(grid), out_times)
     fields = [to_real(SpectralField(grid, c)) for c in out]
     return Trajectory(times=out_times, fields=fields)
 
@@ -766,14 +670,9 @@ def check_duhamel_ct(
         traj = _duhamel_of_weighted_forcing(grid, w, k0, tg)
         # ||g||_{k0; s0,p0,q} = sup_t t^{k0} t^{-k0} ||w|| = ||w||_{s0,p0,q}
         ratios.append(
-            ct_norm(traj, k1, BesovIndex(s1, p1, q), fam)
-            / fam.besov_norm(w, BesovIndex(s0, p0, q))
+            ct_norm(traj, k1, BesovIndex(s1, p1, q)) / fam.besov_norm(w, BesovIndex(s0, p0, q))
         )
-    worst = _finite_max(ratios)
-    return CheckReport(
-        trials, ratios, worst, math.isfinite(worst),
-        details={"sigma": sigma, "k1": k1},
-    )
+    return _ratio_report(trials, ratios, sigma=sigma, k1=k1)
 
 
 def check_duhamel_lsigma(
@@ -798,24 +697,13 @@ def check_duhamel_lsigma(
     ts = np.linspace(0.0, T, 33)
     for t in range(trials):
         w = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        forcing = Trajectory(
-            times=ts, fields=[semigroup_apply(w, s, 1.0) for s in ts]
-        )
-        from .quadrature import duhamel_apply
-
-        g_out = Trajectory(
-            times=ts[1:],
-            fields=[duhamel_apply(forcing, s, 1.0) for s in ts[1:]],
-        )
+        forcing = _semigroup_trajectory(w, ts)
+        g_out = Trajectory(times=ts[1:], fields=[duhamel_apply(forcing, s) for s in ts[1:]])
         ratios.append(
-            lsigma_norm(g_out, sigma1, BesovIndex(s1, p1, q), fam)
-            / lsigma_norm(forcing, sigma0, BesovIndex(s0, p0, q), fam)
+            lsigma_norm(g_out, sigma1, BesovIndex(s1, p1, q))
+            / lsigma_norm(forcing, sigma0, BesovIndex(s0, p0, q))
         )
-    worst = _finite_max(ratios)
-    return CheckReport(
-        trials, ratios, worst, math.isfinite(worst),
-        details={"sigma1": sigma1},
-    )
+    return _ratio_report(trials, ratios, sigma1=sigma1)
 
 
 def check_duhamel_bc(grid, *, s0=1.0, s1=1.5, p0=2.0, p1=2.0, q=2.0, T=1.0, trials=5, seed=0):
@@ -830,23 +718,16 @@ def check_duhamel_bc(grid, *, s0=1.0, s1=1.5, p0=2.0, p1=2.0, q=2.0, T=1.0, tria
     sigma = 1.0 / inv_sigma
     if not 1.0 / p1 <= inv_sigma:
         raise ParameterGateError("duhamel_bc", "1/p1 <= 1/sigma", {"sigma": sigma})
-    from .quadrature import duhamel_apply
-
     ts = np.linspace(0.0, T, 33)
     ratios = []
     for t in range(trials):
         w = random_band_mixture(grid, seed=seed + t, j_hi=fam.j_max - 1)
-        forcing = Trajectory(times=ts, fields=[semigroup_apply(w, s, 1.0) for s in ts])
+        forcing = _semigroup_trajectory(w, ts)
         sup_val = max(
-            fam.besov_norm(duhamel_apply(forcing, s, 1.0), BesovIndex(s1, p1, q))
-            for s in ts[1:]
+            fam.besov_norm(duhamel_apply(forcing, s), BesovIndex(s1, p1, q)) for s in ts[1:]
         )
-        ratios.append(sup_val / lsigma_norm(forcing, sigma, BesovIndex(s0, p0, q), fam))
-    worst = _finite_max(ratios)
-    return CheckReport(
-        trials, ratios, worst, math.isfinite(worst),
-        details={"sigma": sigma},
-    )
+        ratios.append(sup_val / lsigma_norm(forcing, sigma, BesovIndex(s0, p0, q)))
+    return _ratio_report(trials, ratios, sigma=sigma)
 
 
 def check_v_alpha_ct(
@@ -860,16 +741,13 @@ def check_v_alpha_ct(
     ts = np.linspace(0.0, T, 17)
     for t in range(trials):
         u0 = 0.1 * random_divergence_free(grid, seed=seed + t, j_hi=fam.j_max - 2)
-        u_traj = Trajectory(times=ts, fields=[semigroup_apply(u0, s_, 1.0) for s_ in ts])
-        v_traj = Trajectory(
-            times=ts, fields=[nonlinearity_V(f, alpha) for f in u_traj.fields]
-        )
-        denom = ct_norm(u_traj, a, BesovIndex(s, p, q), fam)
+        u_traj = _semigroup_trajectory(u0, ts)
+        v_traj = Trajectory(times=ts, fields=[nonlinearity_V(f, alpha) for f in u_traj.fields])
         ratios.append(
-            ct_norm(v_traj, 2 * a, BesovIndex(s - 1.0, p_bar, q), fam) / denom**2
+            ct_norm(v_traj, 2 * a, BesovIndex(s - 1.0, p_bar, q))
+            / ct_norm(u_traj, a, BesovIndex(s, p, q)) ** 2
         )
-    worst = _finite_max(ratios)
-    return CheckReport(trials, ratios, worst, math.isfinite(worst))
+    return _ratio_report(trials, ratios)
 
 
 CHECKS = {
@@ -922,24 +800,27 @@ def check_parameters(check_id):
 
 def _dyadic_index(v, grid):
     j_max = grid.max_dyadic_index
-    return v is None or 0 <= v <= j_max, f"a resolved dyadic index, 0 <= j <= {j_max}"
+    return 0 <= v <= j_max, f"a resolved dyadic index, 0 <= j <= {j_max}"
 
 
-def _count(v, grid):
-    return v is None or v >= 1, "at least 1"
+def _at_least_1(v, grid):
+    return v >= 1, "at least 1"
 
 
 # Ranges of well-typed parameters, by name: (value, grid) -> (in range,
-# requirement).  None stands for the check's default.
+# requirement).  A None value (the check's default) is not checked.
 _RANGES = {
-    "j_max": _dyadic_index,
-    "j_lo": _dyadic_index,
-    "j_hi": _dyadic_index,
-    "trials": _count,
-    "pairs": _count,
-    "sample_stride": _count,
+    **dict.fromkeys(("j_max", "j_lo", "j_hi"), _dyadic_index),
+    # counts, and the Lebesgue and summability exponents
+    **dict.fromkeys(
+        ("trials", "pairs", "sample_stride", "p", "q", "q1", "q2", "p0", "p1", "p2",
+         "p_bar", "r1", "r2", "emb_p1", "emb_p2"),
+        _at_least_1,
+    ),
+    "order": lambda v, grid: (v >= 0, "at least 0"),
+    "T": lambda v, grid: (v > 0, "positive"),
     "t_grid": lambda v, grid: (
-        v is None or (len(v) > 0 and all(0 <= t < math.inf for t in v)),
+        len(v) > 0 and all(0 <= t < math.inf for t in v),
         "a non-empty list of finite times >= 0",
     ),
 }
@@ -975,12 +856,11 @@ def parse_params(check_id, params):
         grid = Grid(n, N)
     except ValueError as exc:
         raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
-    for key, rule in _RANGES.items():
-        in_range, requirement = rule(kwargs.get(key), grid)
-        if not in_range:
-            raise ConfigError(
-                f"{where}: parameter {key!r} must be {requirement}, got {kwargs[key]!r}"
-            )
+    for key, value in kwargs.items():
+        if key in _RANGES and value is not None:
+            in_range, requirement = _RANGES[key](value, grid)
+            if not in_range:
+                raise ConfigError(f"{where}: parameter {key!r} must be {requirement}, got {value!r}")
     j_lo, j_hi = kwargs.get("j_lo"), kwargs.get("j_hi")
     if j_lo is not None and j_hi is not None and j_lo > j_hi:
         # an empty block range would pass vacuously

@@ -54,11 +54,27 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    """The parsed contents of a JSON input file.  Bytes that are not UTF-8
-    or text that is not JSON raise ConfigError naming the file and where."""
+    """The parsed contents of a JSON input file.  Bytes that are not UTF-8,
+    text that is not JSON and numbers that are not finite floats (the NaN
+    and Infinity literals Python's json accepts, and literals that overflow
+    a float) raise ConfigError naming the file and where."""
     raw = Path(path).read_bytes()
+
+    def finite(kind):
+        def parse(literal):
+            if not math.isfinite(float(literal)):
+                raise ConfigError(f"{path}: number {literal} is not a finite float")
+            return kind(literal)
+
+        return parse
+
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(
+            raw.decode("utf-8"),
+            parse_float=finite(float),
+            parse_int=finite(int),
+            parse_constant=finite(float),
+        )
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"{path}: not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
@@ -106,43 +122,28 @@ def _prepare(args, command):
     return cfg, out_dir, manifest
 
 
-def _trajectory_csv(cfg, traj, out_dir, manifest, name="trajectory.csv"):
+def _trajectory_csv(traj, out_dir, manifest):
+    """trajectory.csv: one row per Besov sample of a run made with a
+    besov_stride."""
     series = traj.series
-    bes_t = series.get("besov_t")
+    lookup = {round(float(t), 12): i for i, t in enumerate(series["t"])}
     rows = []
-    if bes_t is None:
-        for i, t in enumerate(series["t"]):
-            rows.append(
-                (
-                    float(t),
-                    float(series["energy"][i]),
-                    float(series["l2"][i]),
-                    float(series["grad_l2"][i]),
-                    float("nan"),
-                    float("nan"),
-                    float(series["div_residual"][i]),
-                )
+    for k, t in enumerate(series["besov_t"]):
+        i = lookup[round(float(t), 12)]
+        rows.append(
+            (
+                float(t),
+                float(series["energy"][i]),
+                float(series["l2"][i]),
+                float(series["grad_l2"][i]),
+                float(series["besov_base"][k]),
+                float(series["besov_critical"][k]),
+                float(series["div_residual"][i]),
             )
-    else:
-        lookup = {round(float(t), 12): i for i, t in enumerate(series["t"])}
-        for k, t in enumerate(bes_t):
-            i = lookup[round(float(t), 12)]
-            rows.append(
-                (
-                    float(t),
-                    float(series["energy"][i]),
-                    float(series["l2"][i]),
-                    float(series["grad_l2"][i]),
-                    float(series["besov_base"][k]),
-                    float(series["besov_critical"][k]),
-                    float(series["div_residual"][i]),
-                )
-            )
+        )
     header = ["t", "E", "u_L2", "grad_u_L2", "u_besov_base", "u_besov_critical", "div_residual"]
-    path = out_dir / name
-    write_csv(path, header, rows)
-    manifest.add_output(name)
-    return path
+    write_csv(out_dir / "trajectory.csv", header, rows)
+    manifest.add_output("trajectory.csv")
 
 
 def _write_snapshots(cfg, traj, out_dir, manifest):
@@ -168,7 +169,7 @@ def cmd_solve(args):
         besov_stride=max(1, cfg.csv_stride),
     )
     manifest.data["timings_s"]["solve"] = time.perf_counter() - t0
-    _trajectory_csv(cfg, traj, out_dir, manifest)
+    _trajectory_csv(traj, out_dir, manifest)
     _write_snapshots(cfg, traj, out_dir, manifest)
     manifest.finish(out_dir)
     return EXIT_OK
@@ -349,9 +350,9 @@ def cmd_sweep(args):
 
 
 def cmd_lp_analyze(args):
+    from .checks import check_partition_of_unity
     from .dyadic import BesovIndex, build_dyadic_family, norm_report_record
     from .fieldio import read_field
-    from .grid import kmag
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,15 +363,13 @@ def cmd_lp_analyze(args):
         return EXIT_CONFIG
     manifest = Manifest("lp-analyze", out_dir, {"field": str(args.field)}, 0)
     fam = build_dyadic_family(f.grid)
-    covered = kmag(f.grid) <= 2.0**fam.j_max
-    partition = fam.low_hat + fam.psi_hat.sum(axis=0)
     km_tab = {
         "j_max": fam.j_max,
         "annuli": [
             {"j": j, "support": [2.0 ** (j - 1), 2.0 ** (j + 1)]}
             for j in range(fam.j_max + 1)
         ],
-        "partition_max_defect": float(np.max(np.abs(partition[covered] - 1.0))),
+        "partition_max_defect": check_partition_of_unity(f.grid).max_ratio,
     }
     write_json(out_dir / "dyadic_family.json", km_tab)
     manifest.add_output("dyadic_family.json")
@@ -441,18 +440,12 @@ def main(argv=None):
     _fft.set_workers(workers)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AdmissibilityError as exc:
+    except (ConfigError, AdmissibilityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def console_main():

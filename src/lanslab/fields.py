@@ -175,14 +175,6 @@ def zero_field(grid, ncomp=None):
     return VectorField(grid, np.zeros((ncomp,) + grid.shape))
 
 
-def constant_field(grid, values):
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    data = np.broadcast_to(
-        values.reshape((-1,) + (1,) * grid.n), (values.size,) + grid.shape
-    ).copy()
-    return VectorField(grid, data)
-
-
 def fourier_mode(grid, kvec, comp=0, ncomp=1, kind="cos"):
     """Real single-mode field cos(k.x) or sin(k.x) in one component."""
     xs = coordinates(grid)
@@ -219,17 +211,12 @@ def random_band_limited(grid, j, seed, ncomp=1):
     return spectral_mask_noise(grid, mask, seed, ncomp)
 
 
-def random_low_pass(grid, kmax, seed, ncomp=1):
-    """Random field with spectrum in |k| <= kmax (mean removed)."""
-    km = kmag(grid)
-    mask = (km <= float(kmax)) & (km > 0)
-    return spectral_mask_noise(grid, mask, seed, ncomp)
+def random_band_mixture(grid, seed, ncomp=1, j_hi=None):
+    """Random field with spectrum in the ball |k| < 2^{j_hi+1}: blocks
+    0..j_hi plus the low-frequency piece.
 
-
-def random_band_mixture(grid, seed, ncomp=1, j_lo=0, j_hi=None):
-    """Random field spread over blocks j_lo..j_hi plus the low-frequency piece.
-
-    Defaults keep the spectrum below Nyquist/2 so products stay alias-safe.
+    The default j_hi keeps the spectrum below Nyquist/2 so products stay
+    alias-safe.
     """
     j_hi = grid.max_dyadic_index - 1 if j_hi is None else j_hi
     km = kmag(grid)

@@ -24,7 +24,10 @@ def helmholtz_inverse(f, alpha):
 
 
 def lambda_power(f, a):
-    """(-Lap)^{a/2} f (kills the mean for a > 0; a = 0 is the identity)."""
+    """(-Lap)^{a/2} f for a >= 0 (kills the mean for a > 0; a = 0 is the
+    identity).  Raises ValueError for a < 0, whose symbol is infinite at k = 0."""
+    if a < 0:
+        raise ValueError(f"order a must be >= 0, got {a}")
     return like(f, to_spectral(f).coeffs * kmag(f.grid) ** float(a))
 
 
@@ -37,16 +40,6 @@ def divergence(f):
     coeffs = to_spectral(f).coeffs
     div_hat = np.sum(1j * kv * coeffs, axis=0, keepdims=True)
     return to_real(SpectralField(grid, div_hat))
-
-
-def div_l2_residual(f):
-    """||div u||_2 normalized by ||u||_2 (0 for the zero field)."""
-    from .fields import l2_norm
-
-    nrm = l2_norm(f)
-    if nrm == 0.0:
-        return 0.0
-    return l2_norm(divergence(f)) / nrm
 
 
 def leray_project(f):

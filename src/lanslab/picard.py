@@ -17,14 +17,14 @@ rejects violations with a structured error.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
 from .errors import AdmissibilityError
-from .fields import SpectralField, to_real, to_spectral
+from .fields import SpectralField, to_spectral
 from .grid import ksq
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
@@ -111,17 +111,20 @@ class PicardReport:
 _RESIDUAL_BAIL = 1e8
 
 
-def picard_solve(u0, cfg, family=None):
+def picard_solve(u0, cfg):
     """Iterate the mild-formulation map to a fixed point on [0, cfg.T].
 
     Returns (Trajectory, PicardReport); `converged` is False when the
     residual fails to fall below cfg.picard.tol within cfg.picard.max_iter
     sweeps (the usual signal that the horizon is too long for this data).
+    The trajectory holds spectra (SpectralField): u0 at t = 0, then the
+    last iterate at the Gauss nodes and at T, whose auxiliary-index block
+    norms are memoized on them.
     """
     grid = cfg.grid
     bz = cfg.besov
     a = check_admissibility(grid.n, bz.r, bz.s, bz.p, bz.p_tilde, bz.q)
-    family = family or build_dyadic_family(grid)
+    family = build_dyadic_family(grid)
     idx_base = BesovIndex(bz.r, bz.p, bz.q)
     idx_aux = BesovIndex(bz.s, bz.p_tilde, bz.q)
 
@@ -138,21 +141,24 @@ def picard_solve(u0, cfg, family=None):
     weights = out_times**a
 
     def spectra_of(states):
-        return (SpectralField(grid, c) for c in states)
+        return [SpectralField(grid, c) for c in states]
+
+    def differences(states, others):
+        return (SpectralField(grid, u - v) for u, v in zip(states, others))
 
     # norms are taken on the spectra held here, never on a physical round
     # trip, one state at a time; norms of one SpectralField at equal p share
     # its memoized block norms
     def norms(states, *indices):
         """One row of norms over the states per index."""
-        rows = [[family.besov_norm(F, i) for i in indices] for F in spectra_of(states)]
+        rows = [[family.besov_norm(F, i) for i in indices] for F in states]
         return np.array(rows).T
 
-    (gamma_aux,) = norms(gamma, idx_aux)
+    current, current_fields = gamma, spectra_of(gamma)
+    (gamma_aux,) = norms(current_fields, idx_aux)
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
-    current = gamma
     residuals, ratios, membership, membership_ok = [], [], [], []
     converged = False
     sweeps = 0
@@ -162,15 +168,13 @@ def picard_solve(u0, cfg, family=None):
         forc = np.stack(
             [
                 stokes_project(nonlinearity_V(F, cfg.alpha), cfg.alpha).coeffs
-                for F in spectra_of(current[:-1])
+                for F in current_fields[:-1]
             ]
         ).reshape((tg.panels, tg.nodes_per_panel) + u0.coeffs.shape)
         correction = duhamel_on_nodes(forc, tg, nu, k2, out_times)
         updated = gamma - correction
 
-        diff_base, diff_aux = norms(
-            (u - c for u, c in zip(updated, current)), idx_base, idx_aux
-        )
+        diff_base, diff_aux = norms(differences(updated, current), idx_base, idx_aux)
         residual = float(np.max(diff_base) + np.max(weights * diff_aux))
         residuals.append(residual)
         if len(residuals) >= 2 and residuals[-2] > 0:
@@ -181,13 +185,14 @@ def picard_solve(u0, cfg, family=None):
         if current is gamma:
             up_base = diff_base
         else:
-            (up_base,) = norms((u - g for u, g in zip(updated, gamma)), idx_base)
-        (up_aux,) = norms(updated, idx_aux)
+            (up_base,) = norms(differences(updated, gamma), idx_base)
+        updated_fields = spectra_of(updated)
+        (up_aux,) = norms(updated_fields, idx_aux)
         mixed = float(np.max(up_base) + np.max(weights * up_aux))
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
 
-        current = updated
+        current, current_fields = updated, updated_fields
         if residual <= pp.tol:
             converged = True
             break
@@ -206,41 +211,35 @@ def picard_solve(u0, cfg, family=None):
         membership=membership,
         membership_ok=membership_ok,
     )
-    times = np.concatenate([[0.0], out_times])
-    fields_list = [to_real(F) for F in (u0, *spectra_of(current))]
-    traj = Trajectory(times=times, fields=fields_list)
+    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *current_fields])
     return traj, report
 
 
-def estimate_existence_time(amplitudes, cfg, t_max=2.0, bracket_halvings=8, bisect_steps=6):
+def estimate_existence_time(amplitudes, cfg, t_max=2.0, bisect_steps=6):
     """Largest horizon with a converging fixed-point iteration, per amplitude.
 
     For each amplitude the initial data is cfg.initial scaled to that
     amplitude; certification is a converged picard_solve at horizon T.  A
-    converging horizon is bracketed by halving from t_max, then refined by
-    bisection.  Zero amplitude certifies the harness cap t_max directly.
-    Deterministic given (cfg, amplitudes).
+    converging horizon is bracketed by at most 8 halvings of t_max, then
+    refined by bisection.  Zero amplitude certifies the harness cap t_max
+    directly.  Deterministic given (cfg, amplitudes).
     """
     rows = []
     family = build_dyadic_family(cfg.grid)
     idx_base = BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q)
 
-    def certify(amp, horizon):
-        trial = cfg.with_updates(
-            T=horizon, initial=cfg.initial.__class__(cfg.initial.kind, amp, cfg.initial.j)
-        )
-        _, rep = picard_solve(trial.initial_field(), trial, family=family)
+    def certify(initial, horizon):
+        trial = cfg.with_updates(T=horizon, initial=initial)
+        _, rep = picard_solve(trial.initial_field(), trial)
         return rep.converged
 
     for amp in amplitudes:
-        u0 = cfg.initial.__class__(cfg.initial.kind, amp, cfg.initial.j).build(
-            cfg.grid, seed=cfg.seed
-        )
-        u0_norm = family.besov_norm(u0, idx_base)
+        initial = replace(cfg.initial, amplitude=amp)
+        u0_norm = family.besov_norm(initial.build(cfg.grid, seed=cfg.seed), idx_base)
         if u0_norm == 0.0:
             rows.append({"amplitude": float(amp), "u0_norm": 0.0, "certified_T": float(t_max)})
             continue
-        if certify(amp, t_max):
+        if certify(initial, t_max):
             rows.append(
                 {"amplitude": float(amp), "u0_norm": u0_norm, "certified_T": float(t_max)}
             )
@@ -248,9 +247,9 @@ def estimate_existence_time(amplitudes, cfg, t_max=2.0, bracket_halvings=8, bise
         hi = t_max
         lo = None
         probe = t_max
-        for _ in range(bracket_halvings):
+        for _ in range(8):
             probe /= 2.0
-            if certify(amp, probe):
+            if certify(initial, probe):
                 lo = probe
                 break
             hi = probe
@@ -259,7 +258,7 @@ def estimate_existence_time(amplitudes, cfg, t_max=2.0, bracket_halvings=8, bise
             continue
         for _ in range(bisect_steps):
             mid = 0.5 * (lo + hi)
-            if certify(amp, mid):
+            if certify(initial, mid):
                 lo = mid
             else:
                 hi = mid

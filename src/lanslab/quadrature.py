@@ -69,12 +69,12 @@ def _lagrange_row(ts, t):
     return row
 
 
-def duhamel_apply(traj, t, nu=1.0, quadrature_nodes=4):
+def duhamel_apply(traj, t, nu=1.0):
     """Heat-kernel time convolution of a sampled forcing, evaluated at t.
 
     `traj` is any object with `times` (increasing) and `fields`.  Between
     consecutive samples the forcing is interpolated by a cubic Lagrange
-    stencil; each interval is integrated with a Gauss rule.
+    stencil; each interval is integrated with a 4-node Gauss rule.
     """
     times = np.asarray(traj.times, float)
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
@@ -85,7 +85,7 @@ def duhamel_apply(traj, t, nu=1.0, quadrature_nodes=4):
     grid = traj.fields[0].grid
     k2 = ksq(grid)
     coeffs = np.stack([to_spectral(f).coeffs for f in traj.fields])
-    xg, wg = np.polynomial.legendre.leggauss(quadrature_nodes)
+    xg, wg = np.polynomial.legendre.leggauss(4)
     acc = np.zeros_like(coeffs[0])
     nseg = len(times) - 1
     for seg in range(nseg):

@@ -16,16 +16,16 @@ from scipy.integrate import simpson
 from .dyadic import build_dyadic_family
 
 
-def _norm_series(traj, idx, family=None):
-    family = family or build_dyadic_family(traj.grid)
+def _norm_series(traj, idx):
+    family = build_dyadic_family(traj.grid)
     return np.array([family.besov_norm(f, idx) for f in traj.fields])
 
 
-def ct_norm(traj, a, idx, family=None):
+def ct_norm(traj, a, idx):
     """sup over samples of t^a ||u(t)||_{B^s_{p,q}}."""
     if a < 0:
         raise ValueError("weight exponent a must be >= 0")
-    norms = _norm_series(traj, idx, family)
+    norms = _norm_series(traj, idx)
     times = np.asarray(traj.times, float)
     if a == 0:
         return float(np.max(norms)) if norms.size else 0.0
@@ -35,11 +35,11 @@ def ct_norm(traj, a, idx, family=None):
     return float(np.max(times[mask] ** a * norms[mask]))
 
 
-def lsigma_norm(traj, sigma, idx, family=None):
+def lsigma_norm(traj, sigma, idx):
     """(int ||u(t)||^sigma dt)^{1/sigma} over the trajectory support."""
     if sigma < 1:
         raise ValueError("integral exponent sigma must be >= 1")
-    norms = _norm_series(traj, idx, family)
+    norms = _norm_series(traj, idx)
     times = np.asarray(traj.times, float)
     if len(times) < 2:
         return 0.0

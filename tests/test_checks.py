@@ -94,7 +94,8 @@ def test_product_check_and_gates():
 def test_product_constant_field_ratio_one():
     # closed form: u = 1 gives ||u^2|| = ||u||^2 = 1 under every admissible tuple
     from lanslab.dyadic import BesovIndex, build_dyadic_family
-    from lanslab.fields import constant_field, pointwise_product
+    from helpers import constant_field
+    from lanslab.fields import pointwise_product
     from lanslab.grid import Grid
 
     grid = Grid(3, 16)

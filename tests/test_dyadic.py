@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import constant_field
 from lanslab.dyadic import (
     BesovIndex,
     DyadicFamily,
@@ -14,7 +15,6 @@ from lanslab.dyadic import (
 )
 from lanslab.fields import (
     VectorField,
-    constant_field,
     fourier_mode,
     l2_norm,
     random_band_limited,

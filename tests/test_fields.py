@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import constant_field, div_l2_residual
 from lanslab.errors import GridMismatchError
 from lanslab.fields import (
     VectorField,
-    constant_field,
     dealias_array,
     embed_to,
     fourier_mode,
@@ -104,8 +104,6 @@ def test_band_limited_rejects_unresolved_annulus(grid3d):
 
 
 def test_taylor_green_divergence_free(grid3d):
-    from lanslab.operators import div_l2_residual
-
     u = taylor_green(grid3d, amplitude=0.3)
     assert div_l2_residual(u) < 1e-13
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import div_l2_residual
 from lanslab.dyadic import build_dyadic_family
 from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
 from lanslab.fields import (
@@ -17,7 +18,6 @@ from lanslab.fields import (
 )
 from lanslab.grid import Grid, ksq
 from lanslab.operators import (
-    div_l2_residual,
     divergence,
     helmholtz_inverse,
     lambda_power,
@@ -43,6 +43,14 @@ def test_lambda_power_on_mode(grid3d):
     g = lambda_power(f, 1.0)
     assert np.allclose(g.data, 2.0 * f.data, atol=1e-12)
     assert np.allclose(lambda_power(f, 0.0).data, f.data)
+
+
+def test_lambda_power_negative_order_raises(grid3d):
+    # |k|^a is infinite at k = 0 for a < 0, on samples and on spectra alike
+    f = fourier_mode(grid3d, (2, 0, 0))
+    for g in (f, to_spectral(f)):
+        with pytest.raises(ValueError, match="order a must be >= 0"):
+            lambda_power(g, -1.0)
 
 
 def test_helmholtz_factor_and_inverse_pair(grid3d):

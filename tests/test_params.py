@@ -111,6 +111,56 @@ def test_malformed_suite_entry_exit2_before_any_check(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Out of an estimate's range: each ended in a traceback (exit 1) from inside
+# the check, or ran on a value its estimate is not stated for.
+RANGE_PROBES = {
+    "bernstein_negative_order": ("bernstein", "order", -1, "at least 0"),
+    "embedding_sub_one_p": ("embedding", "p", 0.5, "at least 1"),
+    "moser_sub_one_p": ("moser", "p", 0.5, "at least 1"),
+    "heat_smoothing_sub_one_q": ("heat_smoothing", "q", 0.5, "at least 1"),
+    "gamma_ct_zero_horizon": ("gamma_ct", "T", 0, "positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_PROBES))
+def test_out_of_range_parameter_exit2(tmp_path, capsys, case):
+    cid, key, value, requirement = RANGE_PROBES[case]
+    suite = {"checks": [{"id": cid, "params": {"n": 2, "N": 16, key: value}}]}
+    code, err, out = _run(tmp_path, "verify", suite, capsys)
+    assert code == 2
+    for text in ("checks[0]", cid, f"'{key}'", requirement):
+        assert text in err
+    assert not out.exists()
+
+
+# Python's json reads NaN and Infinity, 1e999 as inf and an integer of any
+# size; a run then ended in OverflowError or ValueError (exit 1).
+HUGE = "1" + "0" * 400
+NON_FINITE_PROBES = {
+    "config_infinite_horizon": ("solve", '{"n": 3, "N": 16, "T": Infinity}', "Infinity"),
+    "config_nan_step": ("solve", '{"n": 3, "N": 16, "dt": NaN}', "NaN"),
+    "config_overflowing_float": ("picard", '{"n": 3, "N": 16, "T": -1e999}', "-1e999"),
+    "config_integer_beyond_float": ("solve", '{"n": 3, "N": 16, "T": %s}' % HUGE, HUGE),
+    "suite_infinite_horizon": (
+        "verify",
+        '{"checks": [{"id": "energy_monotone", "params": {"n": 2, "N": 16, "T": Infinity}}]}',
+        "Infinity",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PROBES))
+def test_non_finite_number_exit2(tmp_path, capsys, case):
+    command, text, literal = NON_FINITE_PROBES[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"number {literal} is not a finite float" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_non_utf8_input_exit2(tmp_path, capsys, command):
     path = tmp_path / "input.json"

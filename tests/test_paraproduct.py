@@ -1,11 +1,11 @@
 import numpy as np
 
+from helpers import random_low_pass
 from lanslab.fields import (
     l2_norm,
     pointwise_product,
     random_band_limited,
     random_band_mixture,
-    random_low_pass,
     zero_field,
 )
 from lanslab.paraproduct import (

@@ -9,7 +9,8 @@ from lanslab.dynamics import nonlinearity_V, semigroup_apply
 from lanslab.errors import BlowUpError, ConfigError
 from lanslab.fields import VectorField, l2_norm, random_divergence_free, taylor_green, zero_field
 from lanslab.grid import Grid
-from lanslab.operators import div_l2_residual, leray_project
+from helpers import div_l2_residual
+from lanslab.operators import leray_project
 from lanslab.solver import (
     InitialSpec,
     SolverConfig,

@@ -5,7 +5,8 @@ import pytest
 
 from lanslab.dyadic import BesovIndex, build_dyadic_family
 from lanslab.dynamics import semigroup_apply
-from lanslab.fields import constant_field, random_band_mixture, zero_field
+from helpers import constant_field
+from lanslab.fields import random_band_mixture, zero_field
 from lanslab.solver import Trajectory
 from lanslab.timenorms import ct_norm, lsigma_norm
 
@@ -15,13 +16,13 @@ def const_traj(grid, f, T=1.0, nsamples=9):
     return Trajectory(times=ts, fields=[f] * nsamples)
 
 
-def test_ct_norm_unweighted_constant(grid3d_small, family=None):
+def test_ct_norm_unweighted_constant(grid3d_small):
     grid = grid3d_small
     fam = build_dyadic_family(grid)
     f = random_band_mixture(grid, seed=1, j_hi=fam.j_max - 1)
     idx = BesovIndex(1.0, 2, 2)
     traj = const_traj(grid, f)
-    assert ct_norm(traj, 0.0, idx, fam) == pytest.approx(
+    assert ct_norm(traj, 0.0, idx) == pytest.approx(
         fam.besov_norm(f, idx), rel=1e-12
     )
 
@@ -33,7 +34,7 @@ def test_ct_norm_weighted_skips_origin(grid3d_small):
     idx = BesovIndex(1.0, 2, 2)
     traj = const_traj(grid, f, T=2.0)
     # sup of t^a * const is attained at the final time
-    assert ct_norm(traj, 0.5, idx, fam) == pytest.approx(
+    assert ct_norm(traj, 0.5, idx) == pytest.approx(
         math.sqrt(2.0) * fam.besov_norm(f, idx), rel=1e-12
     )
 
@@ -47,11 +48,10 @@ def test_zero_trajectory_functionals(grid3d_small):
 
 def test_lsigma_constant_closed_form(grid3d_small):
     grid = grid3d_small
-    fam = build_dyadic_family(grid)
     one = constant_field(grid, [1.0])
     traj = const_traj(grid, one, T=3.0, nsamples=13)
     # ||1||_{s,p,q} = 1, so the integral is T^{1/sigma}
-    assert lsigma_norm(traj, 2.0, BesovIndex(1.0, 2, 2), fam) == pytest.approx(
+    assert lsigma_norm(traj, 2.0, BesovIndex(1.0, 2, 2)) == pytest.approx(
         math.sqrt(3.0), rel=1e-6
     )
 
@@ -65,7 +65,7 @@ def test_lsigma_semigroup_finite(grid3d_small):
     traj = Trajectory(times=ts, fields=[semigroup_apply(u0, t) for t in ts])
     s0, s1 = 1.0, 2.0
     sigma = 2.0 / (s1 - s0)
-    val = lsigma_norm(traj, sigma, BesovIndex(s1, 2, 2), fam)
+    val = lsigma_norm(traj, sigma, BesovIndex(s1, 2, 2))
     assert math.isfinite(val) and val > 0
 
 
@@ -76,10 +76,10 @@ def test_second_functional_at_same_p_makes_no_fft(grid3d_small, monkeypatch):
     fam = build_dyadic_family(grid)
     f = random_band_mixture(grid, seed=5, j_hi=fam.j_max - 1)
     traj = const_traj(grid, f)
-    ct_norm(traj, 0.0, BesovIndex(1.0, 2, 2), fam)
+    ct_norm(traj, 0.0, BesovIndex(1.0, 2, 2))
     calls = []
     original = _fft.ifftn
     monkeypatch.setattr(_fft, "ifftn", lambda *a: calls.append(1) or original(*a))
-    ct_norm(traj, 0.5, BesovIndex(2.0, 2, math.inf), fam)
-    lsigma_norm(traj, 2.0, BesovIndex(1.5, 2, 1), fam)
+    ct_norm(traj, 0.5, BesovIndex(2.0, 2, math.inf))
+    lsigma_norm(traj, 2.0, BesovIndex(1.5, 2, 1))
     assert calls == []

@@ -8,11 +8,13 @@ count the points they are handed, so an edit that brings back a round trip
 import pytest
 
 from lanslab import _fft
-from lanslab.dyadic import build_dyadic_family
+from lanslab.dyadic import BesovIndex, build_dyadic_family
 from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence
 from lanslab.fields import random_band_mixture, random_divergence_free, to_spectral
 from lanslab.grid import Grid
 from lanslab.operators import stokes_project
+from lanslab.picard import picard_solve
+from lanslab.solver import InitialSpec, PicardParams, SolverConfig
 
 GRID = Grid(3, 32)
 NPTS = GRID.npoints
@@ -61,3 +63,19 @@ def test_stress_divergence_budget(counted):
     # u (3), the gradient (9), the stress transform (9) and the result (3);
     # the tensor route through physical samples took 60
     assert sum(counted) <= 24 * NPTS
+
+
+def test_picard_trajectory_norms_are_memoized(counted):
+    cfg = SolverConfig(
+        n=3, N=16, T=0.1, initial=InitialSpec("taylor_green", 0.02),
+        picard=PicardParams(max_iter=3, panels=2, nodes_per_panel=2),
+    )
+    assert cfg.besov.p == cfg.besov.p_tilde
+    traj, _ = picard_solve(cfg.initial_field(), cfg)
+    fam = build_dyadic_family(cfg.grid)
+    counted.clear()
+    # the iterates after the initial data: their auxiliary norms, taken in
+    # the last sweep at the same p, hold the base norms' block norms too
+    for f in traj.fields[1:]:
+        fam.besov_norm(f, BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q))
+    assert counted == []
