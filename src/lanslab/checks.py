@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
@@ -51,7 +50,7 @@ from .operators import lambda_power
 from .paraproduct import block_bound_rhs, decompose_product_block, product_terms
 from .quadrature import duhamel_apply, duhamel_on_nodes, make_time_grid
 from .solver import InitialSpec, SolverConfig, Trajectory, expect_type, solve_ivp
-from .timenorms import ct_norm, lsigma_norm
+from .timenorms import _simpson, ct_norm, lsigma_norm
 
 
 @dataclass
@@ -565,7 +564,7 @@ def apriori_report(traj, r, q, n):
         raise ParameterGateError("apriori_bound", "nonzero initial data", {})
     c_profile = []
     for i in range(1, len(times)):
-        integral = simpson(norm_crit[: i + 1], x=times[: i + 1])
+        integral = _simpson(norm_crit[: i + 1], times[: i + 1])
         if integral > 1e-300:
             c_profile.append(math.log(norm_r[i] / norm_r[0]) / integral)
     return _ratio_report(

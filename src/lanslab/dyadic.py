@@ -214,9 +214,15 @@ class DyadicFamily:
         ]
 
 
-@lru_cache(maxsize=16)
 def build_dyadic_family(grid, j_max=None):
-    """Cached family constructor (families are immutable and shareable)."""
+    """Cached family constructor (families are immutable and shareable).
+    j_max defaults to the grid's largest resolved index; it is resolved
+    before the cache is consulted, so one family has one cache entry."""
+    return _cached_family(grid, grid.max_dyadic_index if j_max is None else j_max)
+
+
+@lru_cache(maxsize=16)
+def _cached_family(grid, j_max):
     return DyadicFamily(grid, j_max)
 
 

@@ -40,6 +40,20 @@ def test_family_rejects_unresolved_range(grid3d):
         DyadicFamily(grid3d, j_max=4)  # 2^5 > 16
 
 
+def test_family_cache_resolves_default_range():
+    from lanslab.dyadic import _cached_family
+
+    grid = Grid(3, 16)
+    _cached_family.cache_clear()
+    spellings = [
+        build_dyadic_family(grid),
+        build_dyadic_family(grid, None),
+        build_dyadic_family(grid, grid.max_dyadic_index),
+    ]
+    assert all(fam is spellings[0] for fam in spellings)
+    assert _cached_family.cache_info().misses == 1
+
+
 def test_annulus_support(family3d):
     km = kmag(family3d.grid)
     for j in range(family3d.j_max + 1):

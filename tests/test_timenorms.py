@@ -8,7 +8,7 @@ from lanslab.dynamics import semigroup_apply
 from helpers import constant_field
 from lanslab.fields import random_band_mixture, zero_field
 from lanslab.solver import Trajectory
-from lanslab.timenorms import ct_norm, lsigma_norm
+from lanslab.timenorms import _simpson, ct_norm, lsigma_norm
 
 
 def const_traj(grid, f, T=1.0, nsamples=9):
@@ -83,3 +83,20 @@ def test_second_functional_at_same_p_makes_no_fft(grid3d_small, monkeypatch):
     ct_norm(traj, 0.5, BesovIndex(2.0, 2, math.inf))
     lsigma_norm(traj, 2.0, BesovIndex(1.5, 2, 1))
     assert calls == []
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6, 7, 25])
+def test_simpson_bitwise_equal_to_scipy(count):
+    pytest.importorskip("scipy", minversion="1.11")  # its even-count rule
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(count)
+    grids = [np.linspace(0.0, T, count) for T in (0.04, 0.5, 1.0, 3.0)]
+    grids.append(np.logspace(-4, 0, count))
+    # random spacings: the even-count correction cubes the last spacing,
+    # which a numpy scalar power would round differently on some draws
+    grids += [np.cumsum(rng.random(count) + 1e-3) for _ in range(200)]
+    for x in grids:
+        y = rng.standard_normal(count)
+        ours, theirs = _simpson(y, x), simpson(y, x=x)
+        assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (x, y)
