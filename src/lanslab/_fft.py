@@ -23,13 +23,13 @@ def get_workers():
     return _workers
 
 
-def workers_from_env(default=1):
-    """Read LANS_LAB_THREADS, falling back to `default`."""
+def workers_from_env():
+    """Read LANS_LAB_THREADS, falling back to 1 (serial)."""
     raw = os.environ.get("LANS_LAB_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
-        return default
+        return 1
 
 
 def fftn(a, nax):

@@ -112,14 +112,19 @@ class Manifest:
         return path
 
 
-def _prepare(args, command):
+def _load_config(args):
+    """The --config file with --seed applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_updates(seed=int(args.seed))
+    return cfg
+
+
+def _open_output(args, command, config_snapshot, seed):
+    """The --out directory, created, and the run's manifest."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(command, out_dir, cfg.to_dict(), cfg.seed)
-    return cfg, out_dir, manifest
+    return out_dir, Manifest(command, out_dir, config_snapshot, seed)
 
 
 def _trajectory_csv(traj, out_dir, manifest):
@@ -160,7 +165,8 @@ def _write_snapshots(cfg, traj, out_dir, manifest):
 
 
 def cmd_solve(args):
-    cfg, out_dir, manifest = _prepare(args, "solve")
+    cfg = _load_config(args)
+    out_dir, manifest = _open_output(args, "solve", cfg.to_dict(), cfg.seed)
     t0 = time.perf_counter()
     traj = solve_ivp(
         cfg.initial_field(),
@@ -178,7 +184,8 @@ def cmd_solve(args):
 def cmd_picard(args):
     from .picard import picard_solve
 
-    cfg, out_dir, manifest = _prepare(args, "picard")
+    cfg = _load_config(args)
+    out_dir, manifest = _open_output(args, "picard", cfg.to_dict(), cfg.seed)
     t0 = time.perf_counter()
     traj, report = picard_solve(cfg.initial_field(), cfg)
     manifest.data["timings_s"]["picard"] = time.perf_counter() - t0
@@ -240,9 +247,7 @@ def cmd_verify(args):
         _suite_entry(f"{suite_path}: checks[{i}]", entry, args.seed)
         for i, entry in enumerate(suite["checks"])
     ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("verify", out_dir, {"suite": str(suite_path)}, args.seed or 0)
+    out_dir, manifest = _open_output(args, "verify", {"suite": str(suite_path)}, args.seed or 0)
 
     reports, all_pass = [], True
     for cid, params in entries:
@@ -279,14 +284,12 @@ def cmd_verify(args):
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _sweep_amplitude(cfg, values, out_dir, manifest, t_max):
+def _sweep_amplitude(cfg, values, out_dir, t_max):
     from .picard import estimate_existence_time
 
     rows = estimate_existence_time(values, cfg, t_max=t_max)
     table = [(r["amplitude"], r["u0_norm"], r["certified_T"]) for r in rows]
     write_csv(out_dir / "sweep.csv", ["amplitude", "u0_norm_base", "certified_T"], table)
-    manifest.add_output("sweep.csv")
-    return EXIT_OK
 
 
 def _sweep_alpha(cfg, values, out_dir, manifest):
@@ -305,63 +308,81 @@ def _sweep_alpha(cfg, values, out_dir, manifest):
             alphas.append(math.log(a))
             gaps.append(math.log(gap))
     write_csv(out_dir / "sweep.csv", ["alpha", "l2_gap_vs_alpha0"], rows)
-    manifest.add_output("sweep.csv")
     slope = None
     if len(gaps) >= 2:
         slope = float(np.polyfit(alphas, gaps, 1)[0])
     write_json(out_dir / "sweep_summary.json", {"axis": "alpha", "loglog_slope": slope})
     manifest.add_output("sweep_summary.json")
-    return EXIT_OK
 
 
-def _sweep_grid(cfg, values, out_dir, manifest):
-    rows = []
+def _sweep_grid(cfg, values, out_dir):
+    rows, columns = [], ("energy", "l2", "grad_l2", "div_residual")
     for N in values:
         run_cfg = cfg.with_updates(N=int(N))
         s = solve_ivp(run_cfg.initial_field(), run_cfg, sample_stride=0).series
-        rows.append(
-            (int(N), float(s["energy"][-1]), float(s["l2"][-1]), float(s["grad_l2"][-1]),
-             float(s["div_residual"][-1]))
-        )
-    write_csv(
-        out_dir / "sweep.csv",
-        ["N", "E_final", "u_L2_final", "grad_u_L2_final", "div_residual_final"],
-        rows,
-    )
-    manifest.add_output("sweep.csv")
-    return EXIT_OK
+        rows.append((int(N), *(float(s[c][-1]) for c in columns)))
+    header = ["N", "E_final", "u_L2_final", "grad_u_L2_final", "div_residual_final"]
+    write_csv(out_dir / "sweep.csv", header, rows)
+
+
+def _sweep_values(cfg, args):
+    """The --values as floats: finite, ascending, and each one accepted by
+    the config on the swept axis."""
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise ConfigError(f"--t-max: {args.t_max} is not a positive finite number")
+    values = []
+    for text in args.values:
+        try:
+            value = float(text)
+            if not math.isfinite(value) or args.axis == "N" and not value.is_integer():
+                raise ValueError("need a finite number, an integer for N")
+            if args.axis != "amplitude":
+                cfg.with_updates(**{args.axis: int(value) if args.axis == "N" else value})
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"--values: {args.axis}={text}: {exc}") from None
+        values.append(value)
+    if sorted(values) != values:
+        raise ConfigError(f"--values must be sorted ascending, got {' '.join(args.values)}")
+    return values
 
 
 def cmd_sweep(args):
-    cfg, out_dir, manifest = _prepare(args, "sweep")
-    values = [float(v) for v in args.values]
-    if sorted(values) != values:
-        raise ConfigError("sweep values must be sorted ascending")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("sweep values must be finite")
+    cfg = _load_config(args)
+    values = _sweep_values(cfg, args)
+    out_dir, manifest = _open_output(args, "sweep", cfg.to_dict(), cfg.seed)
     if args.axis == "amplitude":
-        code = _sweep_amplitude(cfg, values, out_dir, manifest, args.t_max)
+        _sweep_amplitude(cfg, values, out_dir, args.t_max)
     elif args.axis == "alpha":
-        code = _sweep_alpha(cfg, values, out_dir, manifest)
+        _sweep_alpha(cfg, values, out_dir, manifest)
     else:
-        code = _sweep_grid(cfg, values, out_dir, manifest)
+        _sweep_grid(cfg, values, out_dir)
+    manifest.add_output("sweep.csv")
     manifest.finish(out_dir)
-    return code
+    return EXIT_OK
+
+
+def _besov_index(text):
+    """One --indices entry "s,p,q"."""
+    from .dyadic import BesovIndex
+
+    try:
+        return BesovIndex(*(float(x) for x in text.split(",")))
+    except (TypeError, ValueError) as exc:  # TypeError: not three numbers
+        raise ConfigError(f"--indices: {text!r} is not s,p,q: {exc}") from None
 
 
 def cmd_lp_analyze(args):
     from .checks import check_partition_of_unity
-    from .dyadic import BesovIndex, build_dyadic_family, norm_report_record
+    from .dyadic import build_dyadic_family, norm_report_record
     from .fieldio import read_field
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    indices = [_besov_index(text) for text in args.indices or ["1,2,2"]]
+    out_dir, manifest = _open_output(args, "lp-analyze", {"field": str(args.field)}, 0)
     try:
         f = read_field(args.field)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = Manifest("lp-analyze", out_dir, {"field": str(args.field)}, 0)
     fam = build_dyadic_family(f.grid)
     km_tab = {
         "j_max": fam.j_max,
@@ -373,12 +394,9 @@ def cmd_lp_analyze(args):
     }
     write_json(out_dir / "dyadic_family.json", km_tab)
     manifest.add_output("dyadic_family.json")
-    indices = [tuple(v) for v in (args.indices or [(1.0, 2.0, 2.0)])]
     with open(out_dir / "norms.jsonl", "w", newline="\n") as fh:
-        for s, p, q in indices:
-            rec = norm_report_record(
-                fam, f, BesovIndex(s, p, q), field_id=Path(args.field).name
-            )
+        for idx in indices:
+            rec = norm_report_record(fam, f, idx, field_id=Path(args.field).name)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     manifest.add_output("norms.jsonl")
     manifest.finish(out_dir)
@@ -393,9 +411,8 @@ def build_parser():
     ap.add_argument("--threads", type=int, default=None, help="FFT worker count")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
@@ -422,13 +439,7 @@ def build_parser():
     p = sub.add_parser("lp-analyze", help="dyadic tables and per-block norms of a field file")
     p.add_argument("--field", required=True, help="field snapshot path")
     p.add_argument("--out", default="out")
-    p.add_argument(
-        "--indices",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-        nargs="+",
-        default=None,
-        metavar="s,p,q",
-    )
+    p.add_argument("--indices", nargs="+", metavar="s,p,q", help="Besov indices (default 1,2,2)")
     p.set_defaults(fn=cmd_lp_analyze)
     return ap
 

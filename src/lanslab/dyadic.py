@@ -66,8 +66,8 @@ class BesovIndex:
     q: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"p, q must lie in [1, inf], got p={self.p} q={self.q}")
+        if not (math.isfinite(self.s) and self.p >= 1 and self.q >= 1):  # False at NaN
+            raise ValueError(f"need a finite s and p, q >= 1: s={self.s} p={self.p} q={self.q}")
 
 
 class DyadicFamily:
@@ -190,10 +190,9 @@ class DyadicFamily:
             memo[p] = (lp_norm(low, p), block_norms)
         return memo[p]
 
-    def dyadic_norm(self, f, idx, block_norms=None):
+    def dyadic_norm(self, f, idx):
         """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""
-        if block_norms is None:
-            _, block_norms = self.block_lp_norms(f, idx.p)
+        _, block_norms = self.block_lp_norms(f, idx.p)
         weights = 2.0 ** (idx.s * np.arange(self.j_max + 1))
         terms = weights * block_norms
         if math.isinf(idx.q):
@@ -202,8 +201,8 @@ class DyadicFamily:
 
     def besov_norm(self, f, idx):
         """Low-frequency L^p norm plus the dyadic l^q sum."""
-        low_norm, block_norms = self.block_lp_norms(f, idx.p)
-        return low_norm + self.dyadic_norm(f, idx, block_norms=block_norms)
+        low_norm, _ = self.block_lp_norms(f, idx.p)
+        return low_norm + self.dyadic_norm(f, idx)
 
     def block_profile(self, f, idx):
         """Per-block weighted norms [(j, 2^{js} ||Delta_j f||_p)]."""

@@ -31,9 +31,9 @@ from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
 
 
-def check_admissibility(n, r, s, p, p_tilde, q, a=None):
+def check_admissibility(n, r, s, p, p_tilde, q):
     """Validate the index tuple for the contraction argument; returns the
-    weight exponent a (computed when not supplied).
+    weight exponent a.
 
     The reduced condition list (auxiliary exponent fixed at its minimal
     value 1) with s_bar = s - 1 - r + n/p:
@@ -72,12 +72,7 @@ def check_admissibility(n, r, s, p, p_tilde, q, a=None):
         violations.append(f"need s_bar <= n/p <= 1 + s_bar (s_bar={s_bar:.4g}, n/p={n / p})")
     if violations:
         raise AdmissibilityError(violations)
-    a_expected = two_a / 2.0
-    if a is not None and abs(a - a_expected) > 1e-12:
-        raise AdmissibilityError(
-            [f"supplied a={a} inconsistent with (s-r+n/p-n/p_tilde)/2 = {a_expected}"]
-        )
-    return a_expected
+    return two_a / 2.0
 
 
 @dataclass

@@ -113,7 +113,10 @@ class SolverConfig:
             raise ConfigError("need alpha >= 0 and nu > 0")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("need dt > 0 and T > 0")
-        grid = Grid(self.n, self.N)  # validates n, N
+        try:
+            grid = Grid(self.n, self.N)  # validates n, N
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         j_max = grid.max_dyadic_index
         if self.initial.kind == "random_band" and not 0 <= self.initial.j <= j_max:
             raise ConfigError(
@@ -183,10 +186,7 @@ def _from_json(cls, raw, prefix=""):
         else:
             expect_type(f"config key {name!r}", value, types[key])
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(raw):

@@ -122,7 +122,7 @@ def test_criterion_05_closed_form_operator_oracles():
 
     ts = np.linspace(0.0, 1.0, 17)
     traj = Trajectory(times=ts, fields=[mode4] * len(ts))
-    duh = duhamel_apply(traj, 1.0, nu=1.0)
+    duh = duhamel_apply(traj, [1.0]).final()
     fac_d = (1.0 - math.exp(-4.0)) / 4.0
     err_d = l2_norm(duh - fac_d * mode4) / (fac_d * l2_norm(mode4))
 

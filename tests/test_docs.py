@@ -1,4 +1,5 @@
-"""The README's list of verification checks stays in step with the code."""
+"""The README's module layout and list of verification checks stay in step
+with the code."""
 
 import json
 import re
@@ -25,3 +26,10 @@ def test_shipped_suites_run_every_check():
         suite = json.loads((ROOT / "configs" / name).read_text())
         shipped.update(entry["id"] for entry in suite["checks"])
     assert shipped == set(CHECKS)
+
+
+def test_readme_layout_lists_every_module():
+    block = (ROOT / "README.md").read_text().split("## Layout\n", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+)\.py ", block, flags=re.M))
+    modules = {p.stem for p in (ROOT / "src" / "lanslab").glob("*.py")}
+    assert listed == modules - {"__init__", "__main__"}

@@ -244,6 +244,48 @@ def test_verify_seed_fills_only_checks_that_take_one(tmp_path, capsys):
     assert bern["params"]["seed"] == 3
 
 
+# CLI arguments: each ended in a traceback (exit 1), silently ran another
+# value (N=16.7 ran N=16) or wrote NaN literals into norms.jsonl (exit 0).
+ARG_PROBES = {
+    "sweep_value_not_number": (["sweep", "--axis", "alpha", "--values", "x"], ["--values", "x"]),
+    "sweep_grid_not_power_of_two": (["sweep", "--axis", "N", "--values", "12", "16"],
+                                    ["--values", "N=12", "power of two"]),
+    "sweep_grid_not_integer": (["sweep", "--axis", "N", "--values", "16.7"],
+                               ["--values", "N=16.7", "integer"]),
+    "sweep_negative_alpha": (["sweep", "--axis", "alpha", "--values", "-0.5"],
+                             ["--values", "alpha=-0.5", "alpha >= 0"]),
+    "sweep_nan_horizon": (["sweep", "--axis", "amplitude", "--values", "0.1", "--t-max", "nan"],
+                          ["--t-max", "nan"]),
+    "indices_two_numbers": (["lp-analyze", "--indices", "1,2"], ["--indices", "'1,2'"]),
+    "indices_four_numbers": (["lp-analyze", "--indices", "1,2,2,3"], ["--indices", "'1,2,2,3'"]),
+    "indices_sub_one_p": (["lp-analyze", "--indices", "1,0.5,2"], ["--indices", "'1,0.5,2'"]),
+    "indices_nan_s": (["lp-analyze", "--indices", "nan,2,2"], ["--indices", "'nan,2,2'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARG_PROBES))
+def test_malformed_cli_argument_exit2(tmp_path, capsys, case):
+    from lanslab.fieldio import write_field
+    from lanslab.fields import zero_field
+    from lanslab.grid import Grid
+
+    argv, expected = ARG_PROBES[case]
+    out = tmp_path / "out"
+    if argv[0] == "sweep":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(VALID_CONFIG))
+        argv = argv + ["--config", str(path)]
+    else:
+        path = tmp_path / "f.lans"
+        write_field(path, zero_field(Grid(2, 8)), field_id="probe")
+        argv = argv + ["--field", str(path)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for text in expected:
+        assert text in err
+    assert not out.exists()
+
+
 _SCHEMA_TYPES = {int: "integer", float: "number", str: "string", float | None: ["number", "null"]}
 
 

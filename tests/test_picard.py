@@ -21,11 +21,6 @@ class TestAdmissibility:
         a = check_admissibility(3, r=2.5, s=3.0, p=2, p_tilde=2, q=2)
         assert a == pytest.approx(0.25)
 
-    def test_supplied_weight_checked(self):
-        check_admissibility(3, 2.5, 3.0, 2, 2, 2, a=0.25)
-        with pytest.raises(AdmissibilityError):
-            check_admissibility(3, 2.5, 3.0, 2, 2, 2, a=0.4)
-
     def test_low_regularity_rejected(self):
         # r below n/p violates the minimal-regularity constraint
         with pytest.raises(AdmissibilityError) as err:

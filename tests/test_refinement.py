@@ -59,6 +59,6 @@ def test_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("LANS_LAB_THREADS", "3")
     assert _fft.workers_from_env() == 3
     monkeypatch.setenv("LANS_LAB_THREADS", "junk")
-    assert _fft.workers_from_env(default=2) == 2
+    assert _fft.workers_from_env() == 1
     monkeypatch.delenv("LANS_LAB_THREADS")
     assert _fft.workers_from_env() == 1

@@ -32,7 +32,7 @@ def test_config_validation():
         SolverConfig(nu=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="power of two"):
         SolverConfig(N=12)
 
 

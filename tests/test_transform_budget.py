@@ -5,6 +5,7 @@ count the points they are handed, so an edit that brings back a round trip
 (a real-space detour, one inverse per dyadic table) fails here.
 """
 
+import numpy as np
 import pytest
 
 from lanslab import _fft
@@ -14,7 +15,8 @@ from lanslab.fields import random_band_mixture, random_divergence_free, to_spect
 from lanslab.grid import Grid
 from lanslab.operators import stokes_project
 from lanslab.picard import picard_solve
-from lanslab.solver import InitialSpec, PicardParams, SolverConfig
+from lanslab.quadrature import duhamel_apply
+from lanslab.solver import InitialSpec, PicardParams, SolverConfig, Trajectory
 
 GRID = Grid(3, 32)
 NPTS = GRID.npoints
@@ -63,6 +65,27 @@ def test_stress_divergence_budget(counted):
     # u (3), the gradient (9), the stress transform (9) and the result (3);
     # the tensor route through physical samples took 60
     assert sum(counted) <= 24 * NPTS
+
+
+def test_duhamel_apply_transforms_each_sample_and_output_once(monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        original = getattr(_fft, name)
+
+        def wrapper(a, nax, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(a, nax)
+
+        monkeypatch.setattr(_fft, name, wrapper)
+    grid = Grid(3, 16)
+    ts = np.linspace(0.0, 1.0, 9)
+    f = random_band_mixture(grid, seed=4, ncomp=3)
+    traj = Trajectory(times=ts, fields=[float(1.0 + t) * f for t in ts])
+    calls.update(fftn=0, ifftn=0)
+    duhamel_apply(traj, ts[1:6])
+    # S = 9 forward and K = 5 inverse transforms; one call per output time
+    # used to re-transform every sample
+    assert calls == {"fftn": 9, "ifftn": 5}
 
 
 def test_picard_trajectory_norms_are_memoized(counted):
