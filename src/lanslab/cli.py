@@ -377,12 +377,11 @@ def cmd_lp_analyze(args):
     from .fieldio import read_field
 
     indices = [_besov_index(text) for text in args.indices or ["1,2,2"]]
-    out_dir, manifest = _open_output(args, "lp-analyze", {"field": str(args.field)}, 0)
     try:
         f = read_field(args.field)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    out_dir, manifest = _open_output(args, "lp-analyze", {"field": str(args.field)}, 0)
     fam = build_dyadic_family(f.grid)
     km_tab = {
         "j_max": fam.j_max,
@@ -403,8 +402,15 @@ def cmd_lp_analyze(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError: `main` returns 2 for them as well."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lans-lab",
         description="Pseudo-spectral filtered-fluid solver and Besov analysis lab",
     )
@@ -445,11 +451,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    workers = args.threads if args.threads is not None else _fft.workers_from_env()
-    _fft.set_workers(workers)
     try:
+        args = build_parser().parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"argument --threads: {args.threads} is not a positive integer")
+        _fft.set_workers(args.threads if args.threads is not None else _fft.workers_from_env())
         return args.fn(args)
     except (ConfigError, AdmissibilityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,12 @@ and membership in the contraction ball ||u - Gamma u0||_{0;r,p,q} +
 ||u||_{a;s,p~,q} <= M is recorded each sweep.  The index tuple must pass
 the admissibility conditions below (the b-bar = 1 reduction); the checker
 rejects violations with a structured error.
+
+A sweep holds one list of iterate spectra and two stacks on the modes the
+2/3 rule keeps, off which P[V(u)] vanishes: the node forcing, freed once
+the quadrature returns, and the correction.  Each state's update is
+measured against the iterate it replaces and against e^{t nu Lap} u0,
+formed when needed, then replaces it.
 """
 
 import math
@@ -25,7 +31,7 @@ from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
 from .errors import AdmissibilityError
 from .fields import SpectralField, to_spectral
-from .grid import ksq
+from .grid import dealias_mask, ksq
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
@@ -114,7 +120,8 @@ def picard_solve(u0, cfg):
     sweeps (the usual signal that the horizon is too long for this data).
     The trajectory holds spectra (SpectralField): u0 at t = 0, then the
     last iterate at the Gauss nodes and at T, whose auxiliary-index block
-    norms are memoized on them.
+    norms are memoized on them.  A sweep holds those spectra, the masked
+    forcing and correction stacks and a few single states.
     """
     grid = cfg.grid
     bz = cfg.besov
@@ -125,32 +132,26 @@ def picard_solve(u0, cfg):
 
     pp = cfg.picard
     tg = make_time_grid(cfg.T, pp.panels, pp.nodes_per_panel, pp.grading)
-    node_times = tg.flat_nodes
-    out_times = np.append(node_times, cfg.T)
+    out_times = np.append(tg.flat_nodes, cfg.T)
+    weights = out_times**a
     k2 = ksq(grid)
     nu = cfg.nu
-
+    # forcing and correction are held on the modes the 2/3 rule keeps
+    kept = np.flatnonzero(dealias_mask(grid))
     u0 = to_spectral(u0)
-    t_bcast = out_times.reshape((-1,) + (1,) * (grid.n + 1))
-    gamma = np.exp(-nu * t_bcast * k2[None, None]) * u0.coeffs[None]
-    weights = out_times**a
 
-    def spectra_of(states):
-        return [SpectralField(grid, c) for c in states]
+    def gamma(t):
+        """e^{t nu Lap} u0, formed when needed rather than held."""
+        return np.exp((-nu * t) * k2) * u0.coeffs
 
-    def differences(states, others):
-        return (SpectralField(grid, u - v) for u, v in zip(states, others))
+    def norms(coeffs, *indices):
+        """Besov norms of one spectrum, sharing its memoized block norms."""
+        F = SpectralField(grid, coeffs)
+        return [family.besov_norm(F, idx) for idx in indices]
 
-    # norms are taken on the spectra held here, never on a physical round
-    # trip, one state at a time; norms of one SpectralField at equal p share
-    # its memoized block norms
-    def norms(states, *indices):
-        """One row of norms over the states per index."""
-        rows = [[family.besov_norm(F, i) for i in indices] for F in states]
-        return np.array(rows).T
-
-    current, current_fields = gamma, spectra_of(gamma)
-    (gamma_aux,) = norms(current_fields, idx_aux)
+    # the one list of iterate spectra
+    current = [SpectralField(grid, gamma(t)) for t in out_times]
+    gamma_aux = np.array([family.besov_norm(F, idx_aux) for F in current])
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
@@ -158,36 +159,38 @@ def picard_solve(u0, cfg):
     converged = False
     sweeps = 0
     for sweeps in range(1, pp.max_iter + 1):
-        # forcing at the quadrature nodes (the last output time is T itself,
-        # excluded from the node set), from the held spectra
-        forc = np.stack(
-            [
-                stokes_project(nonlinearity_V(F, cfg.alpha), cfg.alpha).coeffs
-                for F in current_fields[:-1]
-            ]
-        ).reshape((tg.panels, tg.nodes_per_panel) + u0.coeffs.shape)
-        correction = duhamel_on_nodes(forc, tg, nu, k2, out_times)
-        updated = gamma - correction
+        # forcing at the quadrature nodes (T itself is not a node), all of it
+        # formed before any iterate is replaced
+        forc = np.empty((tg.panels, tg.nodes_per_panel, grid.n, kept.size), dtype=complex)
+        for F, row in zip(current, forc.reshape(-1, grid.n, kept.size)):
+            V = stokes_project(nonlinearity_V(F, cfg.alpha), cfg.alpha).coeffs
+            np.take(V.reshape(grid.n, -1), kept, axis=1, out=row)
+            del V  # freed before the next node's nonlinearity runs
+        correction = duhamel_on_nodes(forc, tg, nu, k2.reshape(-1)[kept], out_times)
+        del forc, row  # row is a view of forc
 
-        diff_base, diff_aux = norms(differences(updated, current), idx_base, idx_aux)
+        # one state at a time: measure the update against the iterate it
+        # replaces and against gamma, then replace it
+        rows = []
+        for i, (t, corr) in enumerate(zip(out_times, correction)):
+            updated = gamma(t)
+            updated.reshape(grid.n, -1)[:, kept] -= corr
+            d_base, d_aux = norms(updated - current[i].coeffs, idx_base, idx_aux)
+            # in the first sweep the iterate is gamma: the same difference
+            up_base = d_base if sweeps == 1 else norms(updated - gamma(t), idx_base)[0]
+            current[i] = SpectralField(grid, updated)
+            rows.append((d_base, d_aux, up_base, family.besov_norm(current[i], idx_aux)))
+        del correction
+        diff_base, diff_aux, up_base, up_aux = np.array(rows).T
+
         residual = float(np.max(diff_base) + np.max(weights * diff_aux))
         residuals.append(residual)
         if len(residuals) >= 2 and residuals[-2] > 0:
             ratios.append(residual / residuals[-2])
-
-        # in the first sweep current is gamma, so updated - gamma is the
-        # difference just measured
-        if current is gamma:
-            up_base = diff_base
-        else:
-            (up_base,) = norms(differences(updated, gamma), idx_base)
-        updated_fields = spectra_of(updated)
-        (up_aux,) = norms(updated_fields, idx_aux)
         mixed = float(np.max(up_base) + np.max(weights * up_aux))
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
 
-        current, current_fields = updated, updated_fields
         if residual <= pp.tol:
             converged = True
             break
@@ -206,7 +209,7 @@ def picard_solve(u0, cfg):
         membership=membership,
         membership_ok=membership_ok,
     )
-    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *current_fields])
+    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *current])
     return traj, report
 
 

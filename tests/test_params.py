@@ -260,6 +260,17 @@ ARG_PROBES = {
     "indices_four_numbers": (["lp-analyze", "--indices", "1,2,2,3"], ["--indices", "'1,2,2,3'"]),
     "indices_sub_one_p": (["lp-analyze", "--indices", "1,0.5,2"], ["--indices", "'1,0.5,2'"]),
     "indices_nan_s": (["lp-analyze", "--indices", "nan,2,2"], ["--indices", "'nan,2,2'"]),
+    "field_missing": (["lp-analyze", "--field", "{tmp}/nope.lans"], ["nope.lans"]),
+    "field_malformed": (["lp-analyze", "--field", "{tmp}/bad.lans"],
+                        ["bad.lans", "not a field snapshot"]),
+    "horizon_not_number": (["sweep", "--axis", "amplitude", "--values", "0.1", "--t-max", "abc"],
+                           ["--t-max", "'abc'"]),
+    "threads_not_integer": (["--threads", "x", "sweep", "--axis", "alpha", "--values", "0.1"],
+                            ["--threads", "'x'"]),
+    "threads_zero": (["--threads", "0", "sweep", "--axis", "alpha", "--values", "0.1"],
+                     ["--threads", "0"]),
+    "seed_not_integer": (["sweep", "--axis", "alpha", "--values", "0.1", "--seed", "x"],
+                         ["--seed", "'x'"]),
 }
 
 
@@ -270,12 +281,14 @@ def test_malformed_cli_argument_exit2(tmp_path, capsys, case):
     from lanslab.grid import Grid
 
     argv, expected = ARG_PROBES[case]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     out = tmp_path / "out"
-    if argv[0] == "sweep":
+    (tmp_path / "bad.lans").write_bytes(b"not a field")
+    if "sweep" in argv:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(VALID_CONFIG))
         argv = argv + ["--config", str(path)]
-    else:
+    elif "--field" not in argv:
         path = tmp_path / "f.lans"
         write_field(path, zero_field(Grid(2, 8)), field_id="probe")
         argv = argv + ["--field", str(path)]
@@ -284,6 +297,13 @@ def test_malformed_cli_argument_exit2(tmp_path, capsys, case):
     for text in expected:
         assert text in err
     assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "lans-lab" in capsys.readouterr().out
 
 
 _SCHEMA_TYPES = {int: "integer", float: "number", str: "string", float | None: ["number", "null"]}
