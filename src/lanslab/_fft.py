@@ -10,6 +10,8 @@ import os
 
 import scipy.fft as _sfft
 
+from .errors import ConfigError
+
 _workers = 1
 
 
@@ -24,12 +26,19 @@ def get_workers():
 
 
 def workers_from_env():
-    """Read LANS_LAB_THREADS, falling back to 1 (serial)."""
+    """The LANS_LAB_THREADS worker count, 1 (serial) when it is unset or
+    empty; any other value that is not a positive integer raises
+    ConfigError naming the variable."""
     raw = os.environ.get("LANS_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"LANS_LAB_THREADS={raw!r} is not a positive integer")
+    return workers
 
 
 def fftn(a, nax):

@@ -10,6 +10,7 @@ decimal separator, '\n' line endings, header row first.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -32,6 +33,32 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
+
+# glibc mallopt parameters and the values pinned for every run
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def pin_heap_thresholds():
+    """Serve every allocation below 32 MiB from the heap and keep up to
+    64 MiB of freed heap; True if the C library took both values, False
+    where it has no `mallopt` or refused one.
+
+    Left dynamic, glibc's mmap threshold rises only after some larger
+    block is freed, so whether the multi-MB numpy temporaries of a step or
+    a norm are reused or mapped and faulted in afresh on every call would
+    depend on what an earlier stage happened to free.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    took = [mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+    return all(took)
 
 
 def _fmt(x):
@@ -451,6 +478,7 @@ def build_parser():
 
 
 def main(argv=None):
+    pin_heap_thresholds()
     try:
         args = build_parser().parse_args(argv)
         if args.threads is not None and args.threads < 1:

@@ -96,13 +96,16 @@ class DyadicFamily:
             )
         self.grid = grid
         self.j_max = j_max
-        radii = kmag(grid)
         # cumulative tables chi(2^{-m} |k|) for m = -1 .. j_max; exact
         # pairwise cancellation in the telescoping sum relies on every
-        # block reusing the same floating-point table values.
-        cumulative = np.stack(
-            [smooth_cutoff(radii * 2.0 ** (-m)) for m in range(-1, j_max + 1)]
-        )
+        # block reusing the same floating-point table values.  The cutoff
+        # is evaluated once per distinct lattice radius (464 of 32768 at
+        # n = 3, N = 32) and gathered: the same arithmetic per element, so
+        # the tables are bitwise those of a per-point build, without its
+        # 64 quadrature nodes per lattice point.
+        radii, where = np.unique(kmag(grid), return_inverse=True)
+        per_radius = np.stack([smooth_cutoff(radii * 2.0 ** (-m)) for m in range(-1, j_max + 1)])
+        cumulative = per_radius[:, where.reshape(grid.shape)]
         self.s_hat = cumulative
         self.low_hat = cumulative[0]
         self.psi_hat = cumulative[1:] - cumulative[:-1]

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from lanslab import cli
 from lanslab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -260,3 +265,54 @@ def test_shipped_suites_reference_known_checks():
         suite = json.loads((CONFIGS / name).read_text())
         for entry in suite["checks"]:
             assert entry["id"] in CHECKS
+
+
+# whether the policy was applied, then the minor faults of 200 rounds of a
+# touched 4 MB array and the 4 MB array an expression makes from it, both
+# freed (one array alone is reused even unpinned: its first free raises
+# glibc's dynamic mmap threshold past it)
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from lanslab.cli import pin_heap_thresholds
+print(sys.argv[1] == "pin" and pin_heap_thresholds())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    a = np.ones(4 << 20, dtype=np.uint8)
+    b = a + 1
+    del a, b
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _heap_probe(policy):
+    """(policy applied, minor faults) of one probe process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE, policy],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    applied, faults = done.stdout.split()
+    return applied == "True", int(faults)
+
+
+def test_pinned_heap_reuses_freed_temporaries():
+    applied, pinned = _heap_probe("pin")
+    if not applied:
+        pytest.skip("the C library has no mallopt or refused the thresholds")
+    _, unpinned = _heap_probe("none")
+    assert pinned < unpinned / 10
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_library],
+                         ids=["no_mallopt", "no_library"])
+def test_heap_policy_is_a_no_op_without_mallopt(monkeypatch, library):
+    monkeypatch.setattr(cli.ctypes, "CDLL", library)
+    assert cli.pin_heap_thresholds() is False

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadic_reference import dyadic_tables
 from helpers import constant_field
 from lanslab.dyadic import (
     BesovIndex,
@@ -251,3 +253,32 @@ def test_block_samples_of_zero_field_are_exact_zeros(family3d, j_max):
     fam = DyadicFamily(family3d.grid, j_max)
     low, blocks = fam.block_samples(zero_field(family3d.grid, 3))
     assert not np.any(low) and not np.any(blocks)
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 16), (3, 32), (2, 64)])
+@pytest.mark.parametrize("j_smaller", [0, 1])
+def test_tables_byte_equal_to_per_point_build(n, N, j_smaller):
+    grid = Grid(n, N)
+    j_max = grid.max_dyadic_index - j_smaller
+    fam = DyadicFamily(grid, j_max)
+    for got, want in zip((fam.s_hat, fam.psi_hat, fam.low_hat), dyadic_tables(grid, j_max)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # the partition of unity telescopes: no rounding survives on the ball
+    total = fam.low_hat.copy()
+    for psi in fam.psi_hat:
+        total += psi
+    assert np.array_equal(total, fam.s_hat[-1])
+    assert np.max(np.abs(total[kmag(grid) <= 2.0**j_max] - 1.0)) == 0.0
+
+
+def test_family_build_peak_memory_within_twice_its_tables():
+    grid = Grid(3, 64)
+    kmag(grid)  # the grid's cached |k| table is not the family's
+    tracemalloc.start()
+    try:
+        fam = DyadicFamily(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (fam.s_hat.nbytes + fam.psi_hat.nbytes)

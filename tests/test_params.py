@@ -271,16 +271,24 @@ ARG_PROBES = {
                      ["--threads", "0"]),
     "seed_not_integer": (["sweep", "--axis", "alpha", "--values", "0.1", "--seed", "x"],
                          ["--seed", "'x'"]),
+    "threads_env_not_integer": (["sweep", "--axis", "alpha", "--values", "0.1"],
+                                ["LANS_LAB_THREADS", "'junk'"], {"LANS_LAB_THREADS": "junk"}),
+    "threads_env_zero": (["sweep", "--axis", "alpha", "--values", "0.1"],
+                         ["LANS_LAB_THREADS", "'0'"], {"LANS_LAB_THREADS": "0"}),
+    "threads_env_negative": (["sweep", "--axis", "alpha", "--values", "0.1"],
+                             ["LANS_LAB_THREADS", "'-2'"], {"LANS_LAB_THREADS": "-2"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ARG_PROBES))
-def test_malformed_cli_argument_exit2(tmp_path, capsys, case):
+def test_malformed_cli_argument_exit2(tmp_path, capsys, monkeypatch, case):
     from lanslab.fieldio import write_field
     from lanslab.fields import zero_field
     from lanslab.grid import Grid
 
-    argv, expected = ARG_PROBES[case]
+    argv, expected, *env = ARG_PROBES[case]
+    for name, value in (env[0] if env else {}).items():
+        monkeypatch.setenv(name, value)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     out = tmp_path / "out"
     (tmp_path / "bad.lans").write_bytes(b"not a field")

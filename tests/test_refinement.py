@@ -1,9 +1,11 @@
 """Grid- and step-refinement stability of the empirical constants."""
 
 import numpy as np
+import pytest
 
 from lanslab import _fft
 from lanslab.checks import gronwall_report, run_check
+from lanslab.errors import ConfigError
 from lanslab.solver import InitialSpec, SolverConfig, solve_ivp
 
 
@@ -58,7 +60,11 @@ def test_solver_deterministic_across_thread_counts():
 def test_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("LANS_LAB_THREADS", "3")
     assert _fft.workers_from_env() == 3
-    monkeypatch.setenv("LANS_LAB_THREADS", "junk")
+    for bad in ("junk", "0"):
+        monkeypatch.setenv("LANS_LAB_THREADS", bad)
+        with pytest.raises(ConfigError, match="LANS_LAB_THREADS"):
+            _fft.workers_from_env()
+    monkeypatch.setenv("LANS_LAB_THREADS", "")
     assert _fft.workers_from_env() == 1
     monkeypatch.delenv("LANS_LAB_THREADS")
     assert _fft.workers_from_env() == 1
