@@ -3,11 +3,16 @@
 All transforms act on the trailing spatial axes so leading axes batch
 components and dyadic blocks in a single call.  The worker count is a
 performance knob only; results are bitwise independent of it.  `norm`
-is scipy's: "forward" puts the whole 1/N^n on the forward transform.
+is scipy's: "forward" puts the whole 1/N^n on the forward transform, and
+`overwrite=True` lets a c2c transform reuse its complex input's buffer.
+
+Below the wrappers is the pairing rule that puts two real fields in one
+c2c transform; it transforms nothing itself.
 """
 
 import os
 
+import numpy as np
 import scipy.fft as _sfft
 
 from .errors import ConfigError
@@ -41,12 +46,12 @@ def workers_from_env():
     return workers
 
 
-def fftn(a, nax):
-    return _sfft.fftn(a, axes=tuple(range(-nax, 0)), workers=_workers)
+def fftn(a, nax, *, overwrite=False):
+    return _sfft.fftn(a, axes=tuple(range(-nax, 0)), overwrite_x=overwrite, workers=_workers)
 
 
-def ifftn(a, nax):
-    return _sfft.ifftn(a, axes=tuple(range(-nax, 0)), workers=_workers)
+def ifftn(a, nax, *, overwrite=False):
+    return _sfft.ifftn(a, axes=tuple(range(-nax, 0)), overwrite_x=overwrite, workers=_workers)
 
 
 def rfftn(a, nax, *, norm=None):
@@ -57,3 +62,46 @@ def irfftn(a, shape, *, norm=None):
     return _sfft.irfftn(
         a, s=shape, axes=tuple(range(-len(shape), 0)), norm=norm, workers=_workers
     )
+
+
+# Two real fields per c2c transform (Press et al., Numerical Recipes,
+# sec. 12.3).  A paired stack of h complex slots holds up to 2h real
+# fields: field f is the real part of slot f for f < h and the imaginary
+# part of slot f - h otherwise.  The inverse of A + iB for Hermitian
+# spectra A and B is a + ib; the forward transform Z of x + iy gives
+# X(k) = (Z(k) + conj Z(-k))/2 and Y(k) = (Z(k) - conj Z(-k))/(2i), and a
+# real, even multiplier acts on x and y alone.
+
+
+def pack(data, out=None):
+    """The real fields `data` (count, ...) as a paired stack of
+    ceil(count/2) slots, written into `out` (a stack or a slab view of
+    one) or into a new stack whose unused imaginary half is zero."""
+    half = (len(data) + 1) // 2
+    if out is None:
+        out = np.zeros((half,) + data.shape[1:], dtype=complex)
+    out.real[:] = data[:half]
+    out.imag[: len(data) - half] = data[half:]
+    return out
+
+
+def unpack(z, count):
+    """The first `count` real fields of the paired stack `z`, one array."""
+    return np.concatenate([z.real[:count], z.imag[: max(count - len(z), 0)]])
+
+
+def unpack_spectra(Z, count, modes, mirror):
+    """Spectra of the `count` real fields whose paired stack has the
+    forward transforms `Z`, at the flat lattice indices `modes` only;
+    `mirror` holds the flat indices of -k in the same order.  Shape
+    (count, len(modes))."""
+    half = len(Z)
+    flat = Z.reshape(half, -1)
+    at_k = flat[:, modes]
+    at_minus_k = np.conjugate(flat[:, mirror])
+    out = np.empty((count, len(modes)), dtype=complex)
+    np.add(at_k, at_minus_k, out=out[:half])
+    out[:half] *= 0.5
+    np.subtract(at_k[: count - half], at_minus_k[: count - half], out=out[half:])
+    out[half:] *= -0.5j
+    return out

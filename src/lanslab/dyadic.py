@@ -137,14 +137,16 @@ class DyadicFamily:
 
     def block_samples(self, f):
         """All blocks at once: returns (low, blocks) as real sample arrays
-        of shape (ncomp, ...) and (j_max+1, ncomp, ...), views of one
-        (j_max+2, ncomp, ...) array.
+        of shape (ncomp, ...) and (j_max+1, ncomp, ...), views of the
+        transformed product stack.
 
         `f` must be a real field or the spectrum of one.  The tables are
         taken in pairs (low, psi_0), (psi_1, psi_2), ...: A and B are real
         and even and F is Hermitian, so one inverse of F (A + iB) holds
-        block A in its real part and block B in its imaginary part.  The
-        packed pairs are built per call, never stored.
+        block A in its real part and block B in its imaginary part (the
+        pairing rule of `_fft.pack`, here with the pairs interleaved).  The
+        packed pairs are built per call, never stored; their product with
+        F is transformed in place and holds the blocks returned.
         """
         F = to_spectral(f).coeffs
         grid = self.grid
@@ -154,11 +156,19 @@ class DyadicFamily:
         np.multiply(self.low_hat, grid.npoints, out=packed[0].real)
         np.multiply(self.psi_hat[1::2], grid.npoints, out=packed[1:].real)
         np.multiply(self.psi_hat[0::2], grid.npoints, out=packed[: tables // 2].imag)
-        phys = _fft.ifftn(packed[:, None] * F[None], grid.n)
-        out = np.empty((tables,) + F.shape)
-        out[0::2] = phys.real
-        out[1::2] = phys.imag[: tables // 2]
-        return out[0], out[1:]
+        # the product stack is transformed in place, and each slot's real
+        # and imaginary parts are then laid out in its own memory as two
+        # consecutive blocks, through one spare slot
+        phys = _fft.ifftn(packed[:, None] * F[None], grid.n, overwrite=True)
+        del packed
+        slots = phys.reshape(len(phys), -1)
+        pair = np.empty_like(slots[0])
+        for slot in slots:
+            pair[...] = slot
+            halves = slot.view(np.float64).reshape(2, -1)
+            halves[0], halves[1] = pair.real, pair.imag
+        out = phys.view(np.float64).reshape((2 * len(phys),) + F.shape)
+        return out[0], out[1:tables]
 
     # -- norms ------------------------------------------------------------
 

@@ -20,81 +20,147 @@ import numpy as np
 
 from . import _fft
 from .errors import GridMismatchError
-from .fields import dealias_array, like, to_real, to_spectral
-from .grid import dealias_mask, ksq, wavevectors
+from .fields import dealias_array, like, to_spectral
+from .grid import kept_modes, ksq, on_kept, wavevectors
 
 
-def _scaled_spectrum(u, what):
-    """N^n times the spectrum of the velocity `u`, so that ifftn returns
-    samples (exact: N^n is a power of two)."""
+def _velocity_spectrum(u, what):
     if u.ncomp != u.grid.n:
         raise GridMismatchError(f"{what} needs a velocity field")
-    return to_spectral(u).coeffs * u.grid.npoints
+    return to_spectral(u).coeffs
 
 
-def _stress_hat(U, grid, a2):
-    """N^n tau_hat, shape (n, n, N, ..., N), from the scaled spectrum U.
+def _samples(coeffs, grid, terms):
+    """Real samples of u_i (j None) or d_j u_i for each (i, j) in `terms`,
+    as a paired stack (`_fft.pack`): ceil(len(terms)/2) inverses of N^n
+    points.
 
-    The product Def . Om is formed from the spectral gradient, transformed
-    once and filtered by mask alpha^2/(1 + alpha^2 |k|^2) in spectral
-    space: 2 n^2 transforms of N^n points.
+    Each slot is A + iB for the Hermitian spectra A and B of two terms.
+    The derivative table i k_j has its Nyquist wavenumber set to 0: there
+    i k_j u_hat is anti-Hermitian, and the real part of a separate inverse
+    drops it.  N^n is folded into the tables (exact: a power of two), so
+    ifftn returns samples.
+    """
+    n = grid.n
+    scales = []
+    for j in range(n):
+        k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+        k[grid.N // 2] = 0.0
+        scales.append((1j * grid.npoints * k).reshape((-1,) + (1,) * (n - 1 - j)))
+
+    def spectrum(term, out):
+        i, j = term
+        np.multiply(coeffs[i], grid.npoints if j is None else scales[j], out=out)
+
+    half = (len(terms) + 1) // 2
+    stack = np.empty((half,) + grid.shape, dtype=complex)
+    spare = np.empty(grid.shape, dtype=complex)
+    for slot in range(half):
+        spectrum(terms[slot], stack[slot])
+        if slot + half < len(terms):
+            spectrum(terms[slot + half], spare)
+            spare *= 1j
+            stack[slot] += spare
+    return _fft.ifftn(stack, n, overwrite=True)
+
+
+def _stress_hat(coeffs, grid, a2, with_velocity):
+    """N^n tau_hat on the kept modes (`grid.kept_modes`), shape (n, n, M),
+    from the velocity spectrum; with the velocity samples (n, N, ..., N)
+    when `with_velocity`, else None.
+
+    One paired inverse gives J[i, j] = d_j u_i (and u).  The product
+    Def . Om is formed slab by slab straight into a paired stack, which is
+    transformed in place and unpacked on the kept modes only, where the
+    filter alpha^2/(1 + alpha^2 |k|^2) is applied; off them the 2/3 rule
+    zeroes tau.  At n = 3: 5 inverses (6 with u) and 5 forward transforms
+    of N^n points.
     """
     n, shape = grid.n, grid.shape
-    ik = 1j * wavevectors(grid)
-    jac = np.real(_fft.ifftn(U[:, None] * ik[None], n))  # J[i, j] = d_j u_i
-    twice_def = jac + jac.swapaxes(0, 1)
-    jac -= jac.swapaxes(0, 1)  # Om; numpy buffers the overlapping operands
-    prod = np.einsum("ik...,kj...->ij...", twice_def, jac).reshape((-1,) + shape)
-    del jac, twice_def
-    total = _fft.fftn(prod, n).reshape((n, n) + shape)
+    velocity = [(i, None) for i in range(n)] if with_velocity else []
+    samples = _samples(coeffs, grid, velocity + [(i, j) for i, j in np.ndindex(n, n)])
+    first = len(velocity)
+    u = _fft.unpack(samples, n) if with_velocity else None
+    prod = np.zeros(((n * n + 1) // 2,) + shape, dtype=complex)
+    slab = max(1, 4096 // int(np.prod(shape[1:])))  # planes of 4096 points
+    for a in range(0, shape[0], slab):
+        part = slice(a, a + slab)
+        jac = _fft.unpack(samples[:, part], first + n * n)[first:]
+        jac = jac.reshape((n, n) + jac.shape[1:])  # J[i, j] = d_j u_i
+        twice_def = jac + jac.swapaxes(0, 1)
+        jac -= jac.swapaxes(0, 1)  # Om; numpy buffers the overlapping operands
+        slab_prod = np.einsum("ik...,kj...->ij...", twice_def, jac)
+        _fft.pack(slab_prod.reshape((n * n,) + jac.shape[2:]), prod[:, part])
+    del samples, jac, twice_def, slab_prod
+    prod = _fft.fftn(prod, n, overwrite=True)
+    kept, mirror = kept_modes(grid)
+    total = _fft.unpack_spectra(prod, n * n, kept, mirror)
     del prod
-    total *= (0.5 * a2) * dealias_mask(grid) / (1.0 + a2 * ksq(grid))
-    return total
+    total *= (0.5 * a2) / (1.0 + a2 * ksq(grid).reshape(-1)[kept])
+    return total.reshape(n, n, -1), u
 
 
 def _divergence_like(u, tensor_hat):
-    """(div T)_i = sum_j d_j T_ij from N^n T_hat, of the same kind as u."""
+    """(div T)_i = sum_j d_j T_ij from N^n T_hat on the kept modes, of the
+    same kind as u; zero off the kept modes."""
     grid = u.grid
-    vhat = np.einsum("j...,ij...->i...", 1j * wavevectors(grid), tensor_hat)
+    kept, _ = kept_modes(grid)
+    ik = 1j * wavevectors(grid).reshape(grid.n, -1)[:, kept]
+    vhat = np.einsum("jm,ijm->im", ik, tensor_hat)
     vhat /= grid.npoints
-    return like(u, vhat)
+    return like(u, on_kept(grid, vhat))
 
 
 def reynolds_stress_divergence(u, alpha):
     """div tau(u) as a velocity-shaped field.
 
-    A real field takes n + 2 n^2 + n transforms of N^n points (24 at n = 3).
+    A real field takes n + 2 ceil(n^2/2) + n transforms of N^n points
+    (16 at n = 3): u, the paired gradient and stress product, the result.
     """
-    U = _scaled_spectrum(u, "stress")
-    return _divergence_like(u, _stress_hat(U, u.grid, float(alpha) ** 2))
+    grid = u.grid
+    coeffs = _velocity_spectrum(u, "stress")
+    total, _ = _stress_hat(coeffs, grid, float(alpha) ** 2, with_velocity=False)
+    return _divergence_like(u, total)
 
 
 def nonlinearity_V(u, alpha):
     """Unprojected nonlinearity div(u (x) u) + div tau(u), in one pass.
 
-    The flux u (x) u is formed in physical space and dealiased there; the
-    stress spectrum comes from `_stress_hat`.  The two n x n spectra are
-    summed and contracted with ik once.  Spectral input takes
-    n + 3 n(n+1)/2 + 2 n^2 transforms of N^n points (39 at n = 3): u, the
-    flux dealias round trip and transform on the upper triangle of the
-    symmetric flux, the gradient and the stress transform.
+    Every transform takes two real fields (`_fft.pack`).  One paired
+    inverse gives u and, at alpha > 0, its gradient, which `_stress_hat`
+    turns into the stress spectrum.  The flux u (x) u is formed in
+    physical space on its upper triangle, dealiased there by
+    `dealias_array` and transformed; both spectra are unpacked on the kept
+    modes only, summed and contracted with ik once, so the result is zero
+    off the 2/3 mask.  Spectral input at n = 3 takes 20 transforms of N^n
+    points (11 at alpha = 0): u and J (6), the stress product (5) and the
+    flux's dealias round trip and transform (3 + 3 + 3).
 
     Bilinear in u at alpha = 0: V(lam u) = lam^2 V(u) exactly.
     """
     grid = u.grid
     n = grid.n
-    U = _scaled_spectrum(u, "nonlinearity")
-    phys = to_real(u).data
+    coeffs = _velocity_spectrum(u, "nonlinearity")
+    a2 = float(alpha) ** 2
+    if a2 != 0.0:
+        total, phys = _stress_hat(coeffs, grid, a2, with_velocity=True)
+    else:
+        phys = _fft.unpack(_samples(coeffs, grid, [(i, None) for i in range(n)]), n)
     # u (x) u is symmetric: transform its upper triangle only
     upper = np.triu_indices(n)
-    flux = phys[upper[0]] * phys[upper[1]]
-    flux_hat = _fft.fftn(dealias_array(grid, flux), n)
+    flux = np.empty((len(upper[0]),) + grid.shape)
+    for row, i, j in zip(flux, *upper):
+        np.multiply(phys[i], phys[j], out=row)
+    del phys
+    flux = dealias_array(grid, flux)
+    kept, mirror = kept_modes(grid)
+    flux_hat = _fft.unpack_spectra(
+        _fft.fftn(_fft.pack(flux), n, overwrite=True), len(flux), kept, mirror
+    )
     del flux
     slot = np.empty((n, n), dtype=int)
     slot[upper] = slot.T[upper] = np.arange(len(upper[0]))
-    a2 = float(alpha) ** 2
     if a2 != 0.0:
-        total = _stress_hat(U, grid, a2)
         for i, j in np.ndindex(n, n):
             total[i, j] += flux_hat[slot[i, j]]
     else:

@@ -99,3 +99,24 @@ def dealias_mask(grid):
     out = np.all(np.abs(kv) <= kc, axis=0)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def kept_modes(grid):
+    """Flat indices of the modes the 2/3 rule keeps and, in the same order,
+    of their mirror images -k (the kept set is symmetric; 28% of the
+    lattice at n = 3)."""
+    kept = np.flatnonzero(dealias_mask(grid))
+    axes = np.unravel_index(kept, grid.shape)
+    mirror = np.ravel_multi_index(tuple(-i % grid.N for i in axes), grid.shape)
+    for arr in (kept, mirror):
+        arr.setflags(write=False)
+    return kept, mirror
+
+
+def on_kept(grid, values):
+    """The spectrum (ncomp, N, ..., N) equal to `values` (ncomp, M) on the
+    kept modes, in `kept_modes` order, and 0 elsewhere."""
+    out = np.zeros((len(values), grid.npoints), dtype=complex)
+    out[:, kept_modes(grid)[0]] = values
+    return out.reshape((len(values),) + grid.shape)

@@ -18,8 +18,9 @@ rejects violations with a structured error.
 A sweep holds one list of iterate spectra and two stacks on the modes the
 2/3 rule keeps, off which P[V(u)] vanishes: the node forcing, freed once
 the quadrature returns, and the correction.  Each state's update is
-measured against the iterate it replaces and against e^{t nu Lap} u0,
-formed when needed, then replaces it.
+measured against the iterate it replaces and against e^{t nu Lap} u0
+(formed when needed; the update differs from it by the correction alone),
+then replaces it.
 """
 
 import math
@@ -31,7 +32,7 @@ from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
 from .errors import AdmissibilityError
 from .fields import SpectralField, to_spectral
-from .grid import dealias_mask, ksq
+from .grid import kept_modes, ksq, on_kept
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
@@ -137,7 +138,7 @@ def picard_solve(u0, cfg):
     k2 = ksq(grid)
     nu = cfg.nu
     # forcing and correction are held on the modes the 2/3 rule keeps
-    kept = np.flatnonzero(dealias_mask(grid))
+    kept, _ = kept_modes(grid)
     u0 = to_spectral(u0)
 
     def gamma(t):
@@ -176,8 +177,9 @@ def picard_solve(u0, cfg):
             updated = gamma(t)
             updated.reshape(grid.n, -1)[:, kept] -= corr
             d_base, d_aux = norms(updated - current[i].coeffs, idx_base, idx_aux)
-            # in the first sweep the iterate is gamma: the same difference
-            up_base = d_base if sweeps == 1 else norms(updated - gamma(t), idx_base)[0]
+            # in the first sweep the iterate is gamma: the same difference;
+            # later, updated - gamma is -corr on the kept modes, 0 elsewhere
+            up_base = d_base if sweeps == 1 else norms(on_kept(grid, -corr), idx_base)[0]
             current[i] = SpectralField(grid, updated)
             rows.append((d_base, d_aux, up_base, family.besov_norm(current[i], idx_aux)))
         del correction

@@ -335,9 +335,11 @@ class SpectralStepper:
                         np.subtract(J[i, j], J[j, i], out=J[i, j])
                         np.negative(J[i, j], out=J[j, i])
                 np.einsum("ik...,kj...->ij...", sym, J, out=prod[:, :, part])
-        del phys, u, jac
+                del sym
+        # the views go with their bases: J of phys, conv and prod of flux
+        del phys, u, jac, J
         fwd = _fft.rfftn(flux, n, norm="forward")
-        del flux
+        del flux, conv, prod
         fwd = np.take(fwd.reshape(len(fwd), -1), self.kept, axis=1)
         kv, kv_k2, ik_tau = self.kept_tables
         vhat = fwd[:n]

@@ -196,7 +196,7 @@ def test_second_besov_index_at_same_p_makes_no_fft(family2d, monkeypatch):
     family2d.besov_norm(f, BesovIndex(1.0, 2, 2))
     calls = []
     original = _fft.ifftn
-    monkeypatch.setattr(_fft, "ifftn", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(_fft, "ifftn", lambda *a, **k: calls.append(1) or original(*a, **k))
     family2d.besov_norm(f, BesovIndex(0.5, 2, math.inf))
     family2d.dyadic_norm(f, BesovIndex(2.0, 2, 1))
     family2d.block_profile(f, BesovIndex(1.5, 2, 2))

@@ -1,13 +1,13 @@
 import math
 
+import dynamics_reference as reference
 import numpy as np
 import pytest
 
-from lanslab import _fft
+from lanslab import _fft, fields
 from lanslab.fields import (
     SpectralField,
     VectorField,
-    dealias_array,
     fourier_mode,
     l2_norm,
     random_band_mixture,
@@ -30,7 +30,10 @@ def shear_field(grid):
 
 
 # Slow reference path: the tensors as physical samples, one c2c round trip
-# per stage.  The fast kernels in lanslab.dynamics are compared against it.
+# per stage and per real field.  The fast kernels in lanslab.dynamics are
+# compared against it and against tests/dynamics_reference.py.
+
+dealias_array = reference.dealias_array
 
 
 def gradient_tensor(f):
@@ -208,3 +211,37 @@ def test_nonlinearity_rejects_non_velocity(grid3d):
 
     with pytest.raises(GridMismatchError):
         nonlinearity_V(zero_field(grid3d, 1), 1.0)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16), Grid(3, 16)], ids=str)
+@pytest.mark.parametrize("kind", ["mixture", "white"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("spectral", [False, True], ids=["real", "spectral"])
+def test_paired_transforms_match_one_transform_per_field(grid, kind, alpha, spectral):
+    # white noise carries Nyquist content, where the derivative table is 0
+    u = _velocity(kind, grid, seed=41)
+    u = to_spectral(u) if spectral else u
+    for fast, slow in [
+        (nonlinearity_V, reference.nonlinearity_V),
+        (reynolds_stress_divergence, reference.reynolds_stress_divergence),
+    ]:
+        got, want = fast(u, alpha), slow(u, alpha)
+        assert type(got) is type(want)
+        if spectral:
+            got, want = got.coeffs, want.coeffs
+        else:
+            got, want = got.data, want.data
+        # the stress at alpha = 0 is zero on both paths, exactly
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16), Grid(3, 16)], ids=str)
+@pytest.mark.parametrize("count", [1, 2, 3, 6])
+def test_dealias_array_pairs_match_one_transform_per_field(grid, count):
+    data = np.random.default_rng(count).standard_normal((count,) + grid.shape)
+    got, want = fields.dealias_array(grid, data), reference.dealias_array(grid, data)
+    assert got.shape == want.shape
+    if count == 1:
+        assert np.array_equal(got, want)
+    else:  # odd counts leave the last imaginary half empty
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

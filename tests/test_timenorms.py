@@ -79,7 +79,7 @@ def test_second_functional_at_same_p_makes_no_fft(grid3d_small, monkeypatch):
     ct_norm(traj, 0.0, BesovIndex(1.0, 2, 2))
     calls = []
     original = _fft.ifftn
-    monkeypatch.setattr(_fft, "ifftn", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(_fft, "ifftn", lambda *a, **k: calls.append(1) or original(*a, **k))
     ct_norm(traj, 0.5, BesovIndex(2.0, 2, math.inf))
     lsigma_norm(traj, 2.0, BesovIndex(1.5, 2, 1))
     assert calls == []

@@ -5,6 +5,8 @@ count the points they are handed, so an edit that brings back a round trip
 (a real-space detour, one inverse per dyadic table) fails here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,9 @@ def counted(monkeypatch):
     for name in ("fftn", "ifftn"):
         original = getattr(_fft, name)
 
-        def wrapper(a, nax, _original=original):
+        def wrapper(a, nax, _original=original, **kwargs):
             points.append(a.size)
-            return _original(a, nax)
+            return _original(a, nax, **kwargs)
 
         monkeypatch.setattr(_fft, name, wrapper)
     return points
@@ -47,14 +49,15 @@ def test_block_samples_pairs_the_tables(counted):
     assert len(counted) == 1
 
 
-@pytest.mark.parametrize("alpha, budget", [(1.0, 39), (0.0, 21)])
+@pytest.mark.parametrize("alpha, budget", [(1.0, 20), (0.0, 11)])
 def test_spectral_nonlinearity_budget(counted, alpha, budget):
     F = to_spectral(random_divergence_free(GRID, seed=2))
     counted.clear()
     stokes_project(nonlinearity_V(F, alpha), alpha)
-    # u (3), the dealias round trip and transform of the flux's upper
-    # triangle (18), and at alpha > 0 the gradient (9) and the stress
-    # transform (9); the real-space route took 96
+    # two real fields per transform: u and at alpha > 0 the gradient (6,
+    # or 2 for u alone), the dealias round trip and transform of the flux's
+    # upper triangle (9) and at alpha > 0 the stress product (5); one
+    # transform per real field took 39 (21), the real-space route 96
     assert sum(counted) <= budget * NPTS
 
 
@@ -62,9 +65,36 @@ def test_stress_divergence_budget(counted):
     u = random_divergence_free(GRID, seed=3)
     counted.clear()
     reynolds_stress_divergence(u, 1.0)
-    # u (3), the gradient (9), the stress transform (9) and the result (3);
-    # the tensor route through physical samples took 60
-    assert sum(counted) <= 24 * NPTS
+    # u (3), the paired gradient (5) and stress product (5) and the result
+    # (3); one transform per real field took 24, the tensor route through
+    # physical samples 60
+    assert sum(counted) <= 16 * NPTS
+
+
+def test_nonlinearity_temporaries():
+    F = to_spectral(random_divergence_free(GRID, seed=2))
+    nonlinearity_V(F, 1.0)  # caches the grid tables outside the window
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nonlinearity_V(F, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # 16.5 MB with one complex transform per real field; the paired stacks
+    # and kept-mode spectra need about 7.9 MB
+    assert peak <= 9e6
+
+
+@pytest.mark.parametrize("name", ["fftn", "ifftn"])
+def test_overwrite_is_bitwise_equal(name):
+    transform = getattr(_fft, name)
+    re, im = np.random.default_rng(5).standard_normal((2, 3) + (16,) * 3)
+    a = re + 1j * im
+    kept = a.copy()
+    want = transform(a, 3)
+    assert np.array_equal(a, kept)  # the default leaves its input alone
+    assert np.array_equal(transform(kept, 3, overwrite=True), want)
 
 
 def test_duhamel_apply_transforms_each_sample_and_output_once(monkeypatch):
@@ -72,9 +102,9 @@ def test_duhamel_apply_transforms_each_sample_and_output_once(monkeypatch):
     for name in calls:
         original = getattr(_fft, name)
 
-        def wrapper(a, nax, _original=original, _name=name):
+        def wrapper(a, nax, _original=original, _name=name, **kwargs):
             calls[_name] += 1
-            return _original(a, nax)
+            return _original(a, nax, **kwargs)
 
         monkeypatch.setattr(_fft, name, wrapper)
     grid = Grid(3, 16)
