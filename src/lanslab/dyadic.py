@@ -7,7 +7,9 @@ annular symbol is chi(2^{-j}|k|) - chi(2^{-j+1}|k|), supported in the open
 annulus 2^{j-1} < |k| < 2^{j+1}.  Partial sums telescope exactly: adding the
 low-pass table and the first J+1 annular tables reproduces chi(2^{-J}|k|)
 with *bitwise* cancellation, so the partition of unity holds to machine
-zero for every lattice frequency |k| <= 2^J.
+zero for every lattice frequency |k| <= 2^J.  On the integer lattice the
+low-pass symbol is exactly the indicator of k = 0 (|k| >= 1 puts 2|k| at
+or past the cutoff's end), so the low-pass block is the mean of the field.
 
 The dyadic range is finite: fields are expected (or dealiased) to carry
 their spectrum inside the resolved annuli; a warning fires, once per field,
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _fft
-from .fields import like, to_spectral
+from .fields import like, lp_norm, to_spectral
 from .grid import kmag
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -111,7 +113,6 @@ class DyadicFamily:
         self.psi_hat = cumulative[1:] - cumulative[:-1]
         for arr in (self.s_hat, self.psi_hat):
             arr.setflags(write=False)
-        self._coverage = cumulative[-1]
 
     # -- block operators ------------------------------------------------
 
@@ -136,50 +137,54 @@ class DyadicFamily:
         return self._apply_table(self.s_hat[min(j, self.j_max) + 1], f)
 
     def block_samples(self, f):
-        """All blocks at once: returns (low, blocks) as real sample arrays
-        of shape (ncomp, ...) and (j_max+1, ncomp, ...), views of the
-        transformed product stack.
+        """All blocks at once: (low, blocks), real samples of shape (ncomp, ...):
+        `low` a read-only broadcast of the mean, `blocks` the j_max+1 annular
+        blocks as views of one transformed stack (an odd last one gathered).
 
-        `f` must be a real field or the spectrum of one.  The tables are
-        taken in pairs (low, psi_0), (psi_1, psi_2), ...: A and B are real
-        and even and F is Hermitian, so one inverse of F (A + iB) holds
-        block A in its real part and block B in its imaginary part (the
-        pairing rule of `_fft.pack`, here with the pairs interleaved).  The
-        packed pairs are built per call, never stored; their product with
-        F is transformed in place and holds the blocks returned.
+        `f` must be a real field or the spectrum of one.  On the lattice
+        chi(2|k|) is the indicator of k = 0: the low-pass block is the mean
+        and takes no transform.  The annular tables go in pairs (psi_0,
+        psi_1), (psi_2, psi_3), ...: A and B are real and even and F is
+        Hermitian, so the inverse of F (A + iB) is block A plus i times block
+        B (the rule of `_fft.pack`).  An odd last table pairs its components:
+        ceil((j_max+1) ncomp / 2) inverses in all, in place on the stack the
+        products are written to.
         """
         F = to_spectral(f).coeffs
-        grid = self.grid
-        tables = self.s_hat.shape[0]
-        packed = np.zeros(((tables + 1) // 2,) + grid.shape, dtype=np.complex128)
+        grid, ncomp = self.grid, len(F)
+        pairs, odd = divmod(self.j_max + 1, 2)
+        half = (ncomp + 1) // 2
+        stack = np.empty((pairs * ncomp + odd * half,) + grid.shape, dtype=complex)
         # the 1/N^n of ifftn is undone on the tables (exact: N^n is a power of two)
-        np.multiply(self.low_hat, grid.npoints, out=packed[0].real)
-        np.multiply(self.psi_hat[1::2], grid.npoints, out=packed[1:].real)
-        np.multiply(self.psi_hat[0::2], grid.npoints, out=packed[: tables // 2].imag)
-        # the product stack is transformed in place, and each slot's real
-        # and imaginary parts are then laid out in its own memory as two
-        # consecutive blocks, through one spare slot
-        phys = _fft.ifftn(packed[:, None] * F[None], grid.n, overwrite=True)
-        del packed
-        slots = phys.reshape(len(phys), -1)
-        pair = np.empty_like(slots[0])
-        for slot in slots:
-            pair[...] = slot
-            halves = slot.view(np.float64).reshape(2, -1)
-            halves[0], halves[1] = pair.real, pair.imag
-        out = phys.view(np.float64).reshape((2 * len(phys),) + F.shape)
-        return out[0], out[1:tables]
+        table = np.empty(grid.shape, dtype=complex)
+        for m in range(pairs):
+            np.multiply(self.psi_hat[2 * m], grid.npoints, out=table.real)
+            np.multiply(self.psi_hat[2 * m + 1], grid.npoints, out=table.imag)
+            np.multiply(F, table, out=stack[m * ncomp : (m + 1) * ncomp])
+        if odd:  # components c and c + half of the last block share a slot
+            last = stack[pairs * ncomp :]
+            last[...] = F[:half]
+            last[: ncomp - half] += 1j * F[half:]
+            last *= self.psi_hat[-1] * grid.npoints
+        phys = _fft.ifftn(stack, grid.n, overwrite=True)
+        slots = phys[: pairs * ncomp].reshape((pairs,) + F.shape)
+        blocks = [part for slot in slots for part in (slot.real, slot.imag)]
+        if odd:
+            blocks.append(_fft.unpack(phys[pairs * ncomp :], ncomp))
+        mean = F.reshape(ncomp, -1)[:, 0].real.reshape((ncomp,) + (1,) * grid.n)
+        return np.broadcast_to(mean.copy(), F.shape), tuple(blocks)
 
     # -- norms ------------------------------------------------------------
 
     def _warn_if_uncovered(self, F):
-        power = np.abs(F.coeffs) ** 2
+        re, im = F.coeffs.real, F.coeffs.imag
+        power = (np.einsum("c...,c...->...", re, re) + np.einsum("c...,c...->...", im, im)).ravel()
         total = float(np.sum(power))
         if total == 0.0:
             return
-        # the weight is formed per call: a stored N^n table costs more
-        # resident memory than the 0.07 ms it saves (N = 32)
-        outside = float(np.sum(power * (1.0 - self._coverage) ** 2))
+        # the weight is formed per call (a stored N^n table costs more memory
+        # than it saves); einsum, not np.dot, keeps threaded BLAS out of it
+        outside = float(np.einsum("i,i->", power, ((1.0 - self.s_hat[-1]) ** 2).ravel()))
         if outside > COVERAGE_WARN_FRACTION**2 * total:
             warnings.warn(
                 "field has spectral content beyond the resolved dyadic range; "
@@ -190,26 +195,24 @@ class DyadicFamily:
     def block_lp_norms(self, f, p):
         """(low-pass L^p norm, per-block L^p norms as a read-only array of
         length j_max+1), memoized on `f`."""
-        from .fields import lp_norm
-
         memo = f._memo.setdefault((self.grid, self.j_max), {})
         if p not in memo:
             F = to_spectral(f)
             if not memo:
                 self._warn_if_uncovered(F)
-            low, blocks = self.block_samples(F)
-            block_norms = np.array([lp_norm(b, p) for b in blocks])
+            block_norms = np.array([lp_norm(b, p) for b in self.block_samples(F)[1]])
             block_norms.setflags(write=False)
-            memo[p] = (lp_norm(low, p), block_norms)
+            mean = F.coeffs.reshape(F.ncomp, -1)[:, 0].real
+            # the low-pass block is the mean: its L^p norm is |mean| for every p
+            memo[p] = (float(np.linalg.norm(mean)), block_norms)
         return memo[p]
 
     def dyadic_norm(self, f, idx):
         """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""
         _, block_norms = self.block_lp_norms(f, idx.p)
-        weights = 2.0 ** (idx.s * np.arange(self.j_max + 1))
-        terms = weights * block_norms
+        terms = 2.0 ** (idx.s * np.arange(self.j_max + 1)) * block_norms
         if math.isinf(idx.q):
-            return float(np.max(terms)) if terms.size else 0.0
+            return float(np.max(terms))
         return float(np.sum(terms**idx.q) ** (1.0 / idx.q))
 
     def besov_norm(self, f, idx):
@@ -220,10 +223,7 @@ class DyadicFamily:
     def block_profile(self, f, idx):
         """Per-block weighted norms [(j, 2^{js} ||Delta_j f||_p)]."""
         _, block_norms = self.block_lp_norms(f, idx.p)
-        return [
-            (j, float(2.0 ** (idx.s * j) * block_norms[j]))
-            for j in range(self.j_max + 1)
-        ]
+        return [(j, float(2.0 ** (idx.s * j) * b)) for j, b in enumerate(block_norms)]
 
 
 def build_dyadic_family(grid, j_max=None):

@@ -84,14 +84,14 @@ class SpectralField:
     def ncomp(self):
         return self.coeffs.shape[0]
 
+    _check = VectorField._check
+
     def __add__(self, other):
-        if self.grid != other.grid or self.ncomp != other.ncomp:
-            raise GridMismatchError("field mismatch")
+        self._check(other)
         return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        if self.grid != other.grid or self.ncomp != other.ncomp:
-            raise GridMismatchError("field mismatch")
+        self._check(other)
         return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
@@ -133,7 +133,12 @@ def lp_norm(f, p):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     data = f.data if isinstance(f, VectorField) else np.asarray(f)
-    mag = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
+    if np.iscomplexobj(data):
+        mag = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
+    elif p == 2:  # one pass over the components and no root per point
+        return float(np.sqrt(np.mean(np.einsum("c...,c...->...", data, data))))
+    else:
+        mag = np.sqrt(np.einsum("c...,c...->...", data, data))
     if np.isinf(p):
         return float(np.max(mag))
     return float(np.mean(mag**p) ** (1.0 / p))

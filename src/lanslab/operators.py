@@ -74,8 +74,8 @@ def stokes_project(f, alpha):
     kv = wavevectors(grid)
     helm = 1.0 + a2 * ksq(grid)
     # div of (1 - a^2 Lap) w = 0 forces q_hat = -i (1 + a^2|k|^2)(k.w_hat)/|k|^2
-    kdotw = np.sum(kv * F.coeffs, axis=0)
-    q_hat = -1j * helm * kdotw / ksq_safe(grid)
+    q_hat = -1j * helm * np.einsum("c...,c...->...", kv, F.coeffs) / ksq_safe(grid)
     q_hat[(0,) * grid.n] = 0.0
-    grad_q = 1j * kv * q_hat[None, ...]
-    return like(f, F.coeffs - grad_q / helm[None, ...])
+    out = np.multiply(kv, 1j * q_hat)
+    out /= helm
+    return like(f, np.subtract(F.coeffs, out, out=out))

@@ -15,7 +15,7 @@ the two paraproducts rather than as truncated window sums.
 
 import numpy as np
 
-from .fields import VectorField, dealias_array
+from .fields import VectorField, dealias_array, lp_norm
 
 
 def _extended_blocks(family, f):
@@ -25,9 +25,8 @@ def _extended_blocks(family, f):
     key = ("extended_blocks", family.grid, family.j_max)
     if key not in f._memo:
         low, blocks = family.block_samples(f)
-        stack = np.concatenate([low[None], blocks])
-        stack.setflags(write=False)
-        f._memo[key] = stack
+        f._memo[key] = np.stack([low, *blocks])
+        f._memo[key].setflags(write=False)
     return f._memo[key]
 
 
@@ -40,9 +39,7 @@ def paraproduct_T(family, f, g):
     # k runs over annular indices 0..j_max; S_{k-2} accumulates the low
     # pass (at k = 1) and blocks 0..k-2 (from k = 2 on)
     for k in range(family.j_max + 1):
-        if k == 1:
-            partial = partial + bf[0]
-        elif k >= 2:
+        if k >= 1:
             partial = partial + bf[k - 1]
         acc += partial * bg[k + 1]
     return VectorField(family.grid, dealias_array(family.grid, acc))
@@ -85,8 +82,6 @@ def block_bound_rhs(family, f, g, j, p):
       rhs_II  = same with f and g swapped
       rhs_III = sum_{k>=j-3} sum_{|l-k|<=1} ||Delta_l f||_inf ||Delta_k g||_p
     """
-    from .fields import lp_norm
-
     bf = _extended_blocks(family, f)
     bg = _extended_blocks(family, g)
     jmax = family.j_max

@@ -19,6 +19,7 @@ from lanslab.fields import (
     VectorField,
     fourier_mode,
     l2_norm,
+    lp_norm,
     random_band_limited,
     random_band_mixture,
     to_real,
@@ -235,7 +236,7 @@ def test_coverage_warning_fires_once_per_field():
 @pytest.mark.parametrize("N, j_max", [(16, None), (32, None), (32, 2), (32, 1), (16, 0)])
 @pytest.mark.parametrize("ncomp", [1, 2, 3])
 def test_paired_block_samples_match_per_table_blocks(n, N, j_max, ncomp):
-    # j_max + 2 tables: odd and even counts leave the last pair full or half
+    # j_max + 1 annular tables: an odd count pairs the last table's components
     fam = DyadicFamily(Grid(n, N), j_max)
     f = random_band_mixture(fam.grid, seed=24, ncomp=ncomp, j_hi=fam.j_max)
     want_low = fam.low_pass(f).data
@@ -243,9 +244,36 @@ def test_paired_block_samples_match_per_table_blocks(n, N, j_max, ncomp):
     scale = max(np.max(np.abs(want_low)), np.max(np.abs(want)))
     for given in (f, to_spectral(f)):
         low, blocks = fam.block_samples(given)
+        blocks = np.stack(blocks)  # the blocks are views of the transformed slots
         assert low.shape == want_low.shape and blocks.shape == want.shape
         assert np.max(np.abs(low - want_low)) <= 1e-13 * scale
         assert np.max(np.abs(blocks - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_low_pass_symbol_is_the_zero_mode_indicator(n, N):
+    # chi(2|k|) vanishes from |k| = 1 on: the low-pass block is the mean
+    grid = Grid(n, N)
+    want = np.zeros(grid.shape)
+    want[(0,) * n] = 1.0
+    for j_max in range(grid.max_dyadic_index + 1):
+        assert np.array_equal(DyadicFamily(grid, j_max).low_hat, want)
+
+
+@pytest.mark.parametrize("ncomp", [1, 3])
+def test_low_pass_norm_is_the_mean_magnitude_at_every_p(family3d, ncomp):
+    grid = family3d.grid
+    offset = np.arange(1.0, ncomp + 1.0).reshape((ncomp,) + (1,) * grid.n)
+    f = VectorField(grid, random_band_mixture(grid, seed=25, ncomp=ncomp).data + offset)
+    mean = to_spectral(f).coeffs[(slice(None),) + (0,) * grid.n].real
+    low, _ = family3d.block_samples(f)
+    assert np.array_equal(low, np.broadcast_to(mean.reshape(offset.shape), f.data.shape))
+    for p in (1, 2, 3, math.inf):
+        low_norm, _ = family3d.block_lp_norms(f, p)
+        assert low_norm == np.linalg.norm(mean)
+        # the per-table low pass, through a transform, agrees to round-off
+        assert low_norm == pytest.approx(lp_norm(family3d.low_pass(f), p), rel=1e-13)
 
 
 @pytest.mark.parametrize("j_max", [None, 2])

@@ -81,6 +81,29 @@ def test_lp_norm_complex_mode_unit(grid2d):
     assert lp_norm(z, math.inf) == pytest.approx(1.0, abs=1e-13)
 
 
+def _lp_norm_reference(data, p):
+    """lp_norm before its single-pass reduction: |x|^2 through np.abs, then
+    the p-th power of the root, p = 2 included."""
+    mag = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
+    if np.isinf(p):
+        return float(np.max(mag))
+    return float(np.mean(mag**p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_lp_norm_matches_its_two_pass_formula(grid3d, ncomp):
+    rng = np.random.default_rng(40 + ncomp)
+    shape = (ncomp,) + grid3d.shape
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # a strided view, as the blocks of block_samples are, and a plain array
+    for real in (z.imag, np.ascontiguousarray(z.real)):
+        for p in (1, 3, math.inf):
+            assert lp_norm(real, p) == _lp_norm_reference(real, p)
+        assert lp_norm(real, 2) == pytest.approx(_lp_norm_reference(real, 2), rel=1e-15, abs=0)
+    for p in (1, 2, 3, math.inf):
+        assert lp_norm(z, p) == _lp_norm_reference(z, p)
+
+
 def test_lp_norm_rejects_bad_exponent(grid2d):
     with pytest.raises(ValueError):
         lp_norm(zero_field(grid2d), 0.5)

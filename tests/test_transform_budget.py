@@ -40,13 +40,26 @@ def counted(monkeypatch):
 
 
 def test_block_samples_pairs_the_tables(counted):
-    fam = build_dyadic_family(GRID)  # j_max = 3: five tables
+    fam = build_dyadic_family(GRID)  # j_max = 3: four annular tables
     F = to_spectral(random_band_mixture(GRID, seed=1, ncomp=3))
     counted.clear()
     fam.block_samples(F)
-    # three paired inverses per component, not five
-    assert sum(counted) <= 9 * NPTS
+    # the low-pass block is the mean: two paired inverses per component,
+    # not three with the low-pass table paired in, nor five one by one
+    assert sum(counted) <= 6 * NPTS
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("N, inverses", [(16, 5), (32, 6), (64, 8)])
+def test_block_samples_fills_every_slot(counted, N, inverses):
+    # ceil((j_max + 1) ncomp / 2) for a velocity field: an odd last table
+    # (N = 16 and 64) pairs its components instead of leaving half a slot
+    grid = Grid(3, N)
+    fam = build_dyadic_family(grid)
+    F = to_spectral(random_band_mixture(grid, seed=1, ncomp=3))
+    counted.clear()
+    fam.block_samples(F)
+    assert counted == [inverses * grid.npoints]
 
 
 @pytest.mark.parametrize("alpha, budget", [(1.0, 20), (0.0, 11)])
@@ -132,3 +145,24 @@ def test_picard_trajectory_norms_are_memoized(counted):
     for f in traj.fields[1:]:
         fam.besov_norm(f, BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q))
     assert counted == []
+
+
+@pytest.mark.filterwarnings("ignore:field has spectral content")
+def test_picard_sweep_budget(counted, monkeypatch):
+    import lanslab.picard as picard
+
+    marks = []
+    original = picard.duhamel_on_nodes
+    monkeypatch.setattr(
+        picard, "duhamel_on_nodes", lambda *a: marks.append(sum(counted)) or original(*a)
+    )
+    cfg = SolverConfig(
+        n=3, N=32, T=0.5, initial=InitialSpec("random_divfree", 0.01),
+        picard=PicardParams(tol=1e-300, max_iter=3, panels=2, nodes_per_panel=2),
+    )
+    picard_solve(cfg.initial_field(), cfg)
+    # from one quadrature to the next: the five states' norms (the update,
+    # the correction and the new iterate, 6 inverses each) and the next
+    # sweep's four nonlinearities (20 each); 215 with 9 inverses per norm
+    assert len(marks) == 3
+    assert marks[2] - marks[1] <= (5 * 3 * 6 + 4 * 20) * NPTS
