@@ -12,21 +12,21 @@ low-pass symbol is exactly the indicator of k = 0 (|k| >= 1 puts 2|k| at
 or past the cutoff's end), so the low-pass block is the mean of the field.
 
 The dyadic range is finite: fields are expected (or dealiased) to carry
-their spectrum inside the resolved annuli; a warning fires, once per field,
-when a norm is requested for a field with appreciable content beyond the
-covered ball.
+their spectrum inside the resolved annuli; a warning fires, once per field
+(once per call for a spectrum held on the 2/3-rule modes), when a norm is
+requested for a field with appreciable content beyond the covered ball.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _fft
-from .fields import like, lp_norm, to_spectral
-from .grid import kmag
+from .fields import SpectralField, like, lp_norm, to_spectral
+from .grid import kept_modes, kmag, on_kept
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -176,21 +176,30 @@ class DyadicFamily:
 
     # -- norms ------------------------------------------------------------
 
-    def _warn_if_uncovered(self, F):
-        re, im = F.coeffs.real, F.coeffs.imag
+    @cached_property
+    def _kept_tables(self):
+        """psi_j^2 and the uncovered weight (1 - s_hat[-1])^2 on the modes
+        the 2/3 rule keeps, in `grid.kept_modes` order."""
+        kept, _ = kept_modes(self.grid)
+        psi2 = self.psi_hat.reshape(self.j_max + 1, -1)[:, kept] ** 2
+        outside = (1.0 - self.s_hat[-1].reshape(-1)[kept]) ** 2
+        return psi2, outside
+
+    def _covered_power(self, values, outside):
+        """sum_c |values_c|^2 per mode, flattened.  Warns when more than
+        COVERAGE_WARN_FRACTION of the L^2 norm lies beyond the dyadic range:
+        `outside` is (1 - s_hat[-1])^2 at the same modes.  Every norm path
+        warns from this one line."""
+        re, im = values.real, values.imag
         power = (np.einsum("c...,c...->...", re, re) + np.einsum("c...,c...->...", im, im)).ravel()
         total = float(np.sum(power))
-        if total == 0.0:
-            return
-        # the weight is formed per call (a stored N^n table costs more memory
-        # than it saves); einsum, not np.dot, keeps threaded BLAS out of it
-        outside = float(np.einsum("i,i->", power, ((1.0 - self.s_hat[-1]) ** 2).ravel()))
-        if outside > COVERAGE_WARN_FRACTION**2 * total:
+        # einsum, not np.dot, keeps threaded BLAS out of it
+        if total and float(np.einsum("i,i->", power, outside)) > COVERAGE_WARN_FRACTION**2 * total:
             warnings.warn(
                 "field has spectral content beyond the resolved dyadic range; "
-                "Besov norms ignore the uncovered tail",
-                stacklevel=3,
+                "Besov norms ignore the uncovered tail"
             )
+        return power
 
     def block_lp_norms(self, f, p):
         """(low-pass L^p norm, per-block L^p norms as a read-only array of
@@ -199,7 +208,9 @@ class DyadicFamily:
         if p not in memo:
             F = to_spectral(f)
             if not memo:
-                self._warn_if_uncovered(F)
+                # the weight is formed per call (a stored N^n table costs
+                # more memory than it saves)
+                self._covered_power(F.coeffs, ((1.0 - self.s_hat[-1]) ** 2).ravel())
             block_norms = np.array([lp_norm(b, p) for b in self.block_samples(F)[1]])
             block_norms.setflags(write=False)
             mean = F.coeffs.reshape(F.ncomp, -1)[:, 0].real
@@ -207,18 +218,48 @@ class DyadicFamily:
             memo[p] = (float(np.linalg.norm(mean)), block_norms)
         return memo[p]
 
-    def dyadic_norm(self, f, idx):
-        """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""
-        _, block_norms = self.block_lp_norms(f, idx.p)
+    def _lq(self, block_norms, idx):
+        """l^q over j of 2^{js} times the block norms."""
         terms = 2.0 ** (idx.s * np.arange(self.j_max + 1)) * block_norms
         if math.isinf(idx.q):
             return float(np.max(terms))
         return float(np.sum(terms**idx.q) ** (1.0 / idx.q))
 
+    def dyadic_norm(self, f, idx):
+        """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""
+        return self._lq(self.block_lp_norms(f, idx.p)[1], idx)
+
     def besov_norm(self, f, idx):
         """Low-frequency L^p norm plus the dyadic l^q sum."""
         low_norm, _ = self.block_lp_norms(f, idx.p)
         return low_norm + self.dyadic_norm(f, idx)
+
+    def kept_besov_norms(self, values, *indices):
+        """Besov norms, one per index, of the real field whose spectrum is
+        `values` (ncomp, M) on the modes the 2/3 rule keeps, in
+        `grid.kept_modes` order, and 0 elsewhere.
+
+        At p = 2 no field is formed: by Parseval ||Delta_j f||_2^2 =
+        sum_k psi_j(k)^2 |f_hat(k)|^2, a dot product with psi_j^2 on the
+        kept modes, and the low-pass block is |f_hat(0)| (k = 0 is the first
+        kept mode).  The coverage rule is that of `block_lp_norms`, applied
+        per call.  Other p scatter the spectrum (`on_kept`) once and take
+        `besov_norm`.
+        """
+        norms, low, blocks, F = [], None, None, None
+        for idx in indices:
+            if idx.p != 2:
+                if F is None:
+                    F = SpectralField(self.grid, on_kept(self.grid, values))
+                norms.append(self.besov_norm(F, idx))
+                continue
+            if blocks is None:
+                psi2, outside = self._kept_tables
+                power = self._covered_power(values, outside)
+                blocks = np.sqrt(np.einsum("jm,m->j", psi2, power))
+                low = float(np.linalg.norm(values[:, 0].real))
+            norms.append(low + self._lq(blocks, idx))
+        return norms
 
     def block_profile(self, f, idx):
         """Per-block weighted norms [(j, 2^{js} ||Delta_j f||_p)]."""

@@ -73,15 +73,19 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
     Def . Om is formed slab by slab straight into a paired stack, which is
     transformed in place and unpacked on the kept modes only, where the
     filter alpha^2/(1 + alpha^2 |k|^2) is applied; off them the 2/3 rule
-    zeroes tau.  At n = 3: 5 inverses (6 with u) and 5 forward transforms
-    of N^n points.
+    zeroes tau.  The product of a symmetric and an antisymmetric matrix is
+    trace free, so its last diagonal entry is not transformed: tau_nn =
+    -sum_{i<n} tau_ii.  At n = 3: 5 inverses (6 with u) and 4 forward
+    transforms of N^n points.
     """
     n, shape = grid.n, grid.shape
     velocity = [(i, None) for i in range(n)] if with_velocity else []
     samples = _samples(coeffs, grid, velocity + [(i, j) for i, j in np.ndindex(n, n)])
     first = len(velocity)
     u = _fft.unpack(samples, n) if with_velocity else None
-    prod = np.zeros(((n * n + 1) // 2,) + shape, dtype=complex)
+    # every product but the last diagonal one, (n, n) in row-major order
+    count = n * n - 1
+    prod = np.zeros(((count + 1) // 2,) + shape, dtype=complex)
     slab = max(1, 4096 // int(np.prod(shape[1:])))  # planes of 4096 points
     for a in range(0, shape[0], slab):
         part = slice(a, a + slab)
@@ -90,12 +94,14 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
         twice_def = jac + jac.swapaxes(0, 1)
         jac -= jac.swapaxes(0, 1)  # Om; numpy buffers the overlapping operands
         slab_prod = np.einsum("ik...,kj...->ij...", twice_def, jac)
-        _fft.pack(slab_prod.reshape((n * n,) + jac.shape[2:]), prod[:, part])
+        _fft.pack(slab_prod.reshape((n * n,) + jac.shape[2:])[:count], prod[:, part])
     del samples, jac, twice_def, slab_prod
     prod = _fft.fftn(prod, n, overwrite=True)
     kept, mirror = kept_modes(grid)
-    total = _fft.unpack_spectra(prod, n * n, kept, mirror)
+    total = np.empty((n * n, kept.size), dtype=complex)
+    total[:count] = _fft.unpack_spectra(prod, count, kept, mirror)
     del prod
+    np.negative(np.sum(total[:count : n + 1], axis=0), out=total[count])  # trace free
     total *= (0.5 * a2) / (1.0 + a2 * ksq(grid).reshape(-1)[kept])
     return total.reshape(n, n, -1), u
 
@@ -114,8 +120,9 @@ def _divergence_like(u, tensor_hat):
 def reynolds_stress_divergence(u, alpha):
     """div tau(u) as a velocity-shaped field.
 
-    A real field takes n + 2 ceil(n^2/2) + n transforms of N^n points
-    (16 at n = 3): u, the paired gradient and stress product, the result.
+    A real field takes n + ceil(n^2/2) + floor(n^2/2) + n transforms of
+    N^n points (15 at n = 3): u, the paired gradient and trace-free stress
+    product, the result.
     """
     grid = u.grid
     coeffs = _velocity_spectrum(u, "stress")
@@ -132,8 +139,8 @@ def nonlinearity_V(u, alpha):
     physical space on its upper triangle, dealiased there by
     `dealias_array` and transformed; both spectra are unpacked on the kept
     modes only, summed and contracted with ik once, so the result is zero
-    off the 2/3 mask.  Spectral input at n = 3 takes 20 transforms of N^n
-    points (11 at alpha = 0): u and J (6), the stress product (5) and the
+    off the 2/3 mask.  Spectral input at n = 3 takes 19 transforms of N^n
+    points (11 at alpha = 0): u and J (6), the stress product (4) and the
     flux's dealias round trip and transform (3 + 3 + 3).
 
     Bilinear in u at alpha = 0: V(lam u) = lam^2 V(u) exactly.

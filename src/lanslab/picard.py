@@ -15,12 +15,15 @@ and membership in the contraction ball ||u - Gamma u0||_{0;r,p,q} +
 the admissibility conditions below (the b-bar = 1 reduction); the checker
 rejects violations with a structured error.
 
-A sweep holds one list of iterate spectra and two stacks on the modes the
-2/3 rule keeps, off which P[V(u)] vanishes: the node forcing, freed once
-the quadrature returns, and the correction.  Each state's update is
-measured against the iterate it replaces and against e^{t nu Lap} u0
-(formed when needed; the update differs from it by the correction alone),
-then replaces it.
+Every iterate is e^{t nu Lap} u0 minus a Duhamel correction, and P[V(u)]
+vanishes off the modes the 2/3 rule keeps, so a sweep holds the iterate as
+one correction stack on those modes (`grid.kept_modes`) and forms each
+state from it one at a time: at the quadrature nodes for the forcing,
+which is held on the same modes until the quadrature returns, and at
+every output time for the auxiliary membership norm.  The residual's
+difference (old correction minus new) and the membership's u - e^{t nu
+Lap} u0 (minus the new correction) are on the kept modes too, and are
+normed there (`DyadicFamily.kept_besov_norms`: by Parseval at p = 2).
 """
 
 import math
@@ -32,7 +35,7 @@ from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
 from .errors import AdmissibilityError
 from .fields import SpectralField, to_spectral
-from .grid import kept_modes, ksq, on_kept
+from .grid import kept_modes, ksq
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
@@ -121,8 +124,9 @@ def picard_solve(u0, cfg):
     sweeps (the usual signal that the horizon is too long for this data).
     The trajectory holds spectra (SpectralField): u0 at t = 0, then the
     last iterate at the Gauss nodes and at T, whose auxiliary-index block
-    norms are memoized on them.  A sweep holds those spectra, the masked
-    forcing and correction stacks and a few single states.
+    norms are memoized on them.  Between sweeps only the correction stack
+    is held; a sweep adds the forcing stack, then the new correction and
+    the states it forms.
     """
     grid = cfg.grid
     bz = cfg.besov
@@ -137,22 +141,20 @@ def picard_solve(u0, cfg):
     weights = out_times**a
     k2 = ksq(grid)
     nu = cfg.nu
-    # forcing and correction are held on the modes the 2/3 rule keeps
+    # the correction and the forcing are held on the modes the 2/3 rule keeps
     kept, _ = kept_modes(grid)
     u0 = to_spectral(u0)
 
-    def gamma(t):
-        """e^{t nu Lap} u0, formed when needed rather than held."""
-        return np.exp((-nu * t) * k2) * u0.coeffs
+    def state(t, corr):
+        """The iterate e^{t nu Lap} u0 - corr at t, formed when needed
+        rather than held."""
+        coeffs = np.exp((-nu * t) * k2) * u0.coeffs
+        coeffs.reshape(grid.n, -1)[:, kept] -= corr
+        return SpectralField(grid, coeffs)
 
-    def norms(coeffs, *indices):
-        """Besov norms of one spectrum, sharing its memoized block norms."""
-        F = SpectralField(grid, coeffs)
-        return [family.besov_norm(F, idx) for idx in indices]
-
-    # the one list of iterate spectra
-    current = [SpectralField(grid, gamma(t)) for t in out_times]
-    gamma_aux = np.array([family.besov_norm(F, idx_aux) for F in current])
+    # the iterate is gamma = e^{t nu Lap} u0 minus this correction
+    corr = np.zeros((len(out_times), grid.n, kept.size), dtype=complex)
+    gamma_aux = np.array([family.besov_norm(state(t, 0.0), idx_aux) for t in out_times])
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
@@ -160,29 +162,27 @@ def picard_solve(u0, cfg):
     converged = False
     sweeps = 0
     for sweeps in range(1, pp.max_iter + 1):
-        # forcing at the quadrature nodes (T itself is not a node), all of it
-        # formed before any iterate is replaced
+        states = None  # the last sweep's states are kept for the trajectory only
+        # forcing at the quadrature nodes (T itself is not a node)
         forc = np.empty((tg.panels, tg.nodes_per_panel, grid.n, kept.size), dtype=complex)
-        for F, row in zip(current, forc.reshape(-1, grid.n, kept.size)):
-            V = stokes_project(nonlinearity_V(F, cfg.alpha), cfg.alpha).coeffs
+        for t, c, row in zip(out_times, corr, forc.reshape(-1, grid.n, kept.size)):
+            V = stokes_project(nonlinearity_V(state(t, c), cfg.alpha), cfg.alpha).coeffs
             np.take(V.reshape(grid.n, -1), kept, axis=1, out=row)
             del V  # freed before the next node's nonlinearity runs
-        correction = duhamel_on_nodes(forc, tg, nu, k2.reshape(-1)[kept], out_times)
-        del forc, row  # row is a view of forc
+        new = duhamel_on_nodes(forc, tg, nu, k2.reshape(-1)[kept], out_times)
+        del forc, c, row  # c and row are views of corr and forc
 
-        # one state at a time: measure the update against the iterate it
-        # replaces and against gamma, then replace it
-        rows = []
-        for i, (t, corr) in enumerate(zip(out_times, correction)):
-            updated = gamma(t)
-            updated.reshape(grid.n, -1)[:, kept] -= corr
-            d_base, d_aux = norms(updated - current[i].coeffs, idx_base, idx_aux)
-            # in the first sweep the iterate is gamma: the same difference;
-            # later, updated - gamma is -corr on the kept modes, 0 elsewhere
-            up_base = d_base if sweeps == 1 else norms(on_kept(grid, -corr), idx_base)[0]
-            current[i] = SpectralField(grid, updated)
-            rows.append((d_base, d_aux, up_base, family.besov_norm(current[i], idx_aux)))
-        del correction
+        # the residual's difference is corr - new and u - gamma is -new, both
+        # on the kept modes; the auxiliary membership norm takes the state
+        rows, states = [], []
+        for i, t in enumerate(out_times):
+            d_base, d_aux = family.kept_besov_norms(corr[i] - new[i], idx_base, idx_aux)
+            # in the first sweep corr is 0: the same difference
+            up_base = d_base if sweeps == 1 else family.kept_besov_norms(new[i], idx_base)[0]
+            states.append(state(t, new[i]))
+            rows.append((d_base, d_aux, up_base, family.besov_norm(states[-1], idx_aux)))
+        corr = new
+        del new  # corr is now the one correction stack held
         diff_base, diff_aux, up_base, up_aux = np.array(rows).T
 
         residual = float(np.max(diff_base) + np.max(weights * diff_aux))
@@ -211,7 +211,7 @@ def picard_solve(u0, cfg):
         membership=membership,
         membership_ok=membership_ok,
     )
-    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *current])
+    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *states])
     return traj, report
 
 

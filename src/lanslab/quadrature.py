@@ -73,6 +73,13 @@ def _lagrange_matrix(nodes, points):
     return np.where(off, ratio, 1.0).prod(axis=2)
 
 
+def _interpolate(nodes, points, values):
+    """The values (len(nodes), ...) stored at `nodes`, interpolated to
+    `points` by Lagrange's formula: (len(points), ...).  einsum, not a
+    matmul, keeps threaded BLAS out of it."""
+    return np.einsum("ij,j...->i...", _lagrange_matrix(nodes, points), values)
+
+
 def duhamel_on_nodes(values, tg, nu, k2, t_out):
     """Integrate node-stored spectral forcings from tg.edges[0] up to each
     output time.
@@ -107,8 +114,8 @@ def duhamel_on_nodes(values, tg, nu, k2, t_out):
         if done < tg.panels and t > edges[done]:
             a = edges[done]
             s = 0.5 * (t - a) * (xg + 1.0) + a
-            g = _lagrange_matrix(tg.nodes[done], s) @ values[done].reshape(m, -1)
-            for gj, w, sj in zip(g.reshape(values[done].shape), 0.5 * (t - a) * wg, s):
+            g = _interpolate(tg.nodes[done], s, values[done])
+            for gj, w, sj in zip(g, 0.5 * (t - a) * wg, s):
                 gj *= w * np.exp(-nu * (t - sj) * k2)  # g is a temporary: scale in place
                 acc += gj
             del g, gj  # freed before the next panel's temporaries exist
@@ -136,7 +143,7 @@ def duhamel_apply(traj, times):
     values = np.empty((last, 4, flat.shape[1]), dtype=complex)
     for p in range(last):
         lo, hi = max(p - 1, 0), min(p + 2, last) + 1  # the samples of p's stencil
-        values[p] = _lagrange_matrix(edges[lo:hi], nodes[p]) @ flat[lo:hi]
+        values[p] = _interpolate(edges[lo:hi], nodes[p], flat[lo:hi])
     values = values.reshape(nodes.shape + coeffs.shape[1:])
     out = duhamel_on_nodes(values, tg, 1.0, ksq(grid), times)
     return Trajectory(times, [to_real(SpectralField(grid, c)) for c in out])

@@ -16,6 +16,7 @@ from lanslab.dyadic import (
     smooth_cutoff,
 )
 from lanslab.fields import (
+    SpectralField,
     VectorField,
     fourier_mode,
     l2_norm,
@@ -26,7 +27,7 @@ from lanslab.fields import (
     to_spectral,
     zero_field,
 )
-from lanslab.grid import Grid, kmag
+from lanslab.grid import Grid, kept_modes, kmag, on_kept
 
 
 def test_cutoff_plateaus_and_monotone():
@@ -310,3 +311,47 @@ def test_family_build_peak_memory_within_twice_its_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (fam.s_hat.nbytes + fam.psi_hat.nbytes)
+
+
+@pytest.mark.filterwarnings("ignore:field has spectral content beyond:UserWarning")
+@settings(max_examples=24, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([16, 32]),
+    q=st.sampled_from([1, 2, math.inf]),
+    s=st.floats(-1.0, 3.0),
+)
+def test_kept_mode_norms_match_the_scattered_field(seed, n, N, q, s):
+    # the spectrum of a real field on the 2/3-rule modes, as Picard holds
+    # its corrections: Parseval at p = 2, the scattered field elsewhere
+    grid = Grid(n, N)
+    fam = build_dyadic_family(grid)
+    kept, _ = kept_modes(grid)
+    data = np.random.default_rng(seed).standard_normal((n,) + grid.shape)
+    values = to_spectral(VectorField(grid, data)).coeffs.reshape(n, -1)[:, kept]
+    indices = [BesovIndex(s, p, q) for p in (2, 1, 3, math.inf)]
+    fast = fam.kept_besov_norms(values, *indices)
+    slow = [fam.besov_norm(SpectralField(grid, on_kept(grid, values)), i) for i in indices]
+    assert fast[0] == pytest.approx(slow[0], rel=1e-13)
+    assert fast[1:] == slow[1:]  # bitwise: the same path
+
+
+@pytest.mark.parametrize("ncomp", [1, 3])
+def test_kept_mode_norms_warn_as_the_scattered_field(family3d, ncomp):
+    import warnings
+
+    grid = family3d.grid
+    kept, _ = kept_modes(grid)
+    data = np.random.default_rng(ncomp).standard_normal((ncomp,) + grid.shape)
+    noise = to_spectral(VectorField(grid, data)).coeffs.reshape(ncomp, -1)[:, kept]
+    inside = kmag(grid).reshape(-1)[kept] <= 2**family3d.j_max
+    idx = BesovIndex(1.0, 2, 2)
+    for tail, warns in ((0.0, 0), (1e-3, 1)):
+        values = noise * np.where(inside, 1.0, tail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            family3d.kept_besov_norms(values, idx)
+            fast = len(caught)
+            family3d.besov_norm(SpectralField(grid, on_kept(grid, values)), idx)
+        assert fast == len(caught) - fast == warns

@@ -194,3 +194,36 @@ def test_sweep_memory_per_output_time():
     state = 3 * 16**3 * 16  # bytes of one complex velocity spectrum at N = 16
     per_output = (peak(8, 4) - peak(2, 2)) / ((8 * 4 + 1) - (2 * 2 + 1)) / state
     assert per_output <= 2.0
+
+
+@pytest.mark.filterwarnings(COVERAGE_WARNING)
+def test_sweeps_hold_one_correction_stack(monkeypatch):
+    """Traced memory held as each node's nonlinearity starts is the same in
+    every sweep: the iterate is one correction stack on the 2/3-rule modes,
+    and the stack a sweep replaces is freed, not kept alive by a view."""
+    import lanslab.picard as picard
+    from lanslab.grid import kept_modes
+
+    held = []
+    original = picard.nonlinearity_V
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(picard, "nonlinearity_V", traced)
+    cfg = picard_cfg(picard=PicardParams(tol=1e-300, max_iter=3, panels=2, nodes_per_panel=2))
+    u0 = cfg.initial_field()
+    picard_solve(u0, cfg)  # warm-up: dyadic family, wavevector tables
+    held.clear()
+    tracemalloc.start()
+    try:
+        picard_solve(u0, cfg)
+    finally:
+        tracemalloc.stop()
+    per_sweep = np.array(held).reshape(3, 4)
+    stack = 5 * 3 * kept_modes(cfg.grid)[0].size * 16  # bytes of the correction
+    assert np.all(np.abs(per_sweep - per_sweep[0]) <= stack / 4)
+    # u0, the correction, the node forcing and the node's state
+    state = 3 * 16**3 * 16
+    assert np.max(per_sweep) <= 2 * state + stack + 4 / 5 * stack + state / 4

@@ -6,7 +6,7 @@ import pytest
 import quadrature_reference as ref
 from lanslab.fields import fourier_mode, l2_norm, random_band_mixture, zero_field
 from lanslab.grid import Grid, ksq
-from lanslab.quadrature import duhamel_apply, duhamel_on_nodes, make_time_grid
+from lanslab.quadrature import _lagrange_matrix, duhamel_apply, duhamel_on_nodes, make_time_grid
 from lanslab.solver import Trajectory
 
 
@@ -137,3 +137,31 @@ def test_adapter_matches_reference(nsamples, t0):
     assert np.array_equal(new.times, times)
     assert np.all(new.fields[0].data == 0.0)
     assert _max_gap(np.stack([f.data for f in new.fields]), old) <= 1e-14
+
+
+def _matmul_interpolate(nodes, points, values):
+    """The Lagrange products as a matmul, the form that runs on threaded BLAS."""
+    flat = values.reshape(len(nodes), -1)
+    return (_lagrange_matrix(nodes, points) @ flat).reshape((len(points),) + values.shape[1:])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_interpolation_matches_its_matmul_form(monkeypatch, m):
+    import lanslab.quadrature as quadrature
+
+    tg = make_time_grid(0.8, 3, m, 2.0)
+    rng = np.random.default_rng(m)
+    shape = (tg.panels, m, GRID.n) + GRID.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t_out = np.sort(np.concatenate([tg.flat_nodes, 0.5 * (tg.edges[:-1] + tg.edges[1:])]))
+    ts = np.linspace(0.0, 0.5, 2 * m + 1)
+    f0, f1 = (random_band_mixture(GRID, seed=s) for s in (1, 2))
+    traj = Trajectory(times=ts, fields=[math.cos(3 * t) * f0 + t**2 * f1 for t in ts])
+    k2 = ksq(GRID)
+    nodes, applied = duhamel_on_nodes(values, tg, 0.7, k2, t_out), duhamel_apply(traj, ts)
+    monkeypatch.setattr(quadrature, "_interpolate", _matmul_interpolate)
+    assert _max_gap(nodes, duhamel_on_nodes(values, tg, 0.7, k2, t_out)) <= 1e-15
+    matmul = duhamel_apply(traj, ts)
+    gap = _max_gap(np.stack([f.data for f in applied.fields]),
+                   np.stack([f.data for f in matmul.fields]))
+    assert gap <= 1e-15

@@ -62,15 +62,16 @@ def test_block_samples_fills_every_slot(counted, N, inverses):
     assert counted == [inverses * grid.npoints]
 
 
-@pytest.mark.parametrize("alpha, budget", [(1.0, 20), (0.0, 11)])
+@pytest.mark.parametrize("alpha, budget", [(1.0, 19), (0.0, 11)])
 def test_spectral_nonlinearity_budget(counted, alpha, budget):
     F = to_spectral(random_divergence_free(GRID, seed=2))
     counted.clear()
     stokes_project(nonlinearity_V(F, alpha), alpha)
     # two real fields per transform: u and at alpha > 0 the gradient (6,
     # or 2 for u alone), the dealias round trip and transform of the flux's
-    # upper triangle (9) and at alpha > 0 the stress product (5); one
-    # transform per real field took 39 (21), the real-space route 96
+    # upper triangle (9) and at alpha > 0 the 8 stress products a trace-free
+    # tensor needs (4, from 5 for all 9); one transform per real field took
+    # 39 (21), the real-space route 96
     assert sum(counted) <= budget * NPTS
 
 
@@ -78,10 +79,10 @@ def test_stress_divergence_budget(counted):
     u = random_divergence_free(GRID, seed=3)
     counted.clear()
     reynolds_stress_divergence(u, 1.0)
-    # u (3), the paired gradient (5) and stress product (5) and the result
-    # (3); one transform per real field took 24, the tensor route through
-    # physical samples 60
-    assert sum(counted) <= 16 * NPTS
+    # u (3), the paired gradient (5) and trace-free stress product (4, from
+    # 5) and the result (3); one transform per real field took 24, the
+    # tensor route through physical samples 60
+    assert sum(counted) <= 15 * NPTS
 
 
 def test_nonlinearity_temporaries():
@@ -161,8 +162,9 @@ def test_picard_sweep_budget(counted, monkeypatch):
         picard=PicardParams(tol=1e-300, max_iter=3, panels=2, nodes_per_panel=2),
     )
     picard_solve(cfg.initial_field(), cfg)
-    # from one quadrature to the next: the five states' norms (the update,
-    # the correction and the new iterate, 6 inverses each) and the next
-    # sweep's four nonlinearities (20 each); 215 with 9 inverses per norm
+    # from one quadrature to the next: the five new iterates' auxiliary
+    # norms (6 inverses each; the residual and the correction are normed on
+    # the kept modes by Parseval) and the next sweep's four nonlinearities
+    # (19 each); 170 with every difference scattered and transformed
     assert len(marks) == 3
-    assert marks[2] - marks[1] <= (5 * 3 * 6 + 4 * 20) * NPTS
+    assert marks[2] - marks[1] <= (5 * 6 + 4 * 19) * NPTS
