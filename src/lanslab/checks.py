@@ -814,7 +814,7 @@ _RANGES = {
          "p_bar", "r1", "r2", "emb_p1", "emb_p2"),
         _at_least_1,
     ),
-    "order": lambda v, grid: (v >= 0, "at least 0"),
+    **dict.fromkeys(("order", "seed"), lambda v, grid: (v >= 0, "at least 0")),
     "T": lambda v, grid: (v > 0, "positive"),
     "t_grid": lambda v, grid: (
         len(v) > 0 and all(0 <= t < math.inf for t in v),

@@ -198,8 +198,8 @@ def cmd_solve(args):
     traj = solve_ivp(
         cfg.initial_field(),
         cfg,
-        sample_stride=max(0, cfg.snapshot_stride),
-        besov_stride=max(1, cfg.csv_stride),
+        sample_stride=cfg.snapshot_stride,
+        besov_stride=cfg.csv_stride,
     )
     manifest.data["timings_s"]["solve"] = time.perf_counter() - t0
     _trajectory_csv(traj, out_dir, manifest)

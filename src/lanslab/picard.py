@@ -16,14 +16,13 @@ the admissibility conditions below (the b-bar = 1 reduction); the checker
 rejects violations with a structured error.
 
 Every iterate is e^{t nu Lap} u0 minus a Duhamel correction, and P[V(u)]
-vanishes off the modes the 2/3 rule keeps, so a sweep holds the iterate as
-one correction stack on those modes (`grid.kept_modes`) and forms each
-state from it one at a time: at the quadrature nodes for the forcing,
-which is held on the same modes until the quadrature returns, and at
-every output time for the auxiliary membership norm.  The residual's
-difference (old correction minus new) and the membership's u - e^{t nu
-Lap} u0 (minus the new correction) are on the kept modes too, and are
-normed there (`DyadicFamily.kept_besov_norms`: by Parseval at p = 2).
+vanishes off the modes the 2/3 rule keeps, so the iterate is held as one
+correction stack on those modes (`grid.kept_modes`); so are the residual's
+difference and u - e^{t nu Lap} u0, normed there by
+`DyadicFamily.kept_besov_norms`.  One pass over the output times then forms
+each state once for its auxiliary norm and for the next sweep's forcing,
+or, in the last sweep (known by then), keeps it.  Gamma u0 gets the same
+pass before the first sweep.
 """
 
 import math
@@ -124,9 +123,9 @@ def picard_solve(u0, cfg):
     sweeps (the usual signal that the horizon is too long for this data).
     The trajectory holds spectra (SpectralField): u0 at t = 0, then the
     last iterate at the Gauss nodes and at T, whose auxiliary-index block
-    norms are memoized on them.  Between sweeps only the correction stack
-    is held; a sweep adds the forcing stack, then the new correction and
-    the states it forms.
+    norms are memoized on them.  Between sweeps the correction stack and
+    the next sweep's forcing are held; a pass holds one state at a time,
+    and the last pass the states it keeps.
     """
     grid = cfg.grid
     bz = cfg.besov
@@ -145,58 +144,57 @@ def picard_solve(u0, cfg):
     kept, _ = kept_modes(grid)
     u0 = to_spectral(u0)
 
-    def state(t, corr):
-        """The iterate e^{t nu Lap} u0 - corr at t, formed when needed
-        rather than held."""
-        coeffs = np.exp((-nu * t) * k2) * u0.coeffs
-        coeffs.reshape(grid.n, -1)[:, kept] -= corr
-        return SpectralField(grid, coeffs)
+    def state_pass(corr, last):
+        """Form each iterate state e^{t nu Lap} u0 - corr once and take its
+        auxiliary norm; then write the node's forcing P V(u) on the kept
+        modes (T itself is not a node) or, in the last sweep, keep the
+        state.  Returns (auxiliary norms, forcing or None, kept states)."""
+        aux, states = [], []
+        forc = None if last else np.empty((tg.flat_nodes.size, grid.n, kept.size), dtype=complex)
+        for i, t in enumerate(out_times):
+            coeffs = np.exp((-nu * t) * k2) * u0.coeffs
+            coeffs.reshape(grid.n, -1)[:, kept] -= corr[i]
+            u = SpectralField(grid, coeffs)
+            aux.append(family.besov_norm(u, idx_aux))
+            if last:
+                states.append(u)
+            elif i < len(forc):
+                V = stokes_project(nonlinearity_V(u, cfg.alpha), cfg.alpha).coeffs
+                np.take(V.reshape(grid.n, -1), kept, axis=1, out=forc[i])
+                del V  # freed before the next node's nonlinearity runs
+        return np.array(aux), forc, states
 
     # the iterate is gamma = e^{t nu Lap} u0 minus this correction
     corr = np.zeros((len(out_times), grid.n, kept.size), dtype=complex)
-    gamma_aux = np.array([family.besov_norm(state(t, 0.0), idx_aux) for t in out_times])
+    gamma_aux, forc, _ = state_pass(corr, last=False)
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
     residuals, ratios, membership, membership_ok = [], [], [], []
-    converged = False
-    sweeps = 0
     for sweeps in range(1, pp.max_iter + 1):
-        states = None  # the last sweep's states are kept for the trajectory only
-        # forcing at the quadrature nodes (T itself is not a node)
-        forc = np.empty((tg.panels, tg.nodes_per_panel, grid.n, kept.size), dtype=complex)
-        for t, c, row in zip(out_times, corr, forc.reshape(-1, grid.n, kept.size)):
-            V = stokes_project(nonlinearity_V(state(t, c), cfg.alpha), cfg.alpha).coeffs
-            np.take(V.reshape(grid.n, -1), kept, axis=1, out=row)
-            del V  # freed before the next node's nonlinearity runs
-        new = duhamel_on_nodes(forc, tg, nu, k2.reshape(-1)[kept], out_times)
-        del forc, c, row  # c and row are views of corr and forc
-
+        new = duhamel_on_nodes(forc.reshape(tg.nodes.shape + forc.shape[1:]), tg, nu,
+                               k2.reshape(-1)[kept], out_times)
+        del forc
         # the residual's difference is corr - new and u - gamma is -new, both
-        # on the kept modes; the auxiliary membership norm takes the state
-        rows, states = [], []
-        for i, t in enumerate(out_times):
-            d_base, d_aux = family.kept_besov_norms(corr[i] - new[i], idx_base, idx_aux)
-            # in the first sweep corr is 0: the same difference
-            up_base = d_base if sweeps == 1 else family.kept_besov_norms(new[i], idx_base)[0]
-            states.append(state(t, new[i]))
-            rows.append((d_base, d_aux, up_base, family.besov_norm(states[-1], idx_aux)))
-        corr = new
-        del new  # corr is now the one correction stack held
-        diff_base, diff_aux, up_base, up_aux = np.array(rows).T
+        # on the kept modes
+        rows = [family.kept_besov_norms(c - n, idx_base, idx_aux)
+                + family.kept_besov_norms(n, idx_base) for c, n in zip(corr, new)]
+        corr = new  # the old correction is freed: one stack is held
+        diff_base, diff_aux, up_base = np.array(rows).T
 
         residual = float(np.max(diff_base) + np.max(weights * diff_aux))
         residuals.append(residual)
         if len(residuals) >= 2 and residuals[-2] > 0:
             ratios.append(residual / residuals[-2])
+        converged = residual <= pp.tol
+        # the last sweep is known before its pass: it keeps its states
+        last = (converged or not math.isfinite(residual) or residual > _RESIDUAL_BAIL
+                or sweeps == pp.max_iter)
+        up_aux, forc, states = state_pass(corr, last)
         mixed = float(np.max(up_base) + np.max(weights * up_aux))
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
-
-        if residual <= pp.tol:
-            converged = True
-            break
-        if not math.isfinite(residual) or residual > _RESIDUAL_BAIL:
+        if last:
             break
 
     report = PicardReport(

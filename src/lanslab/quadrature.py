@@ -76,8 +76,10 @@ def _lagrange_matrix(nodes, points):
 def _interpolate(nodes, points, values):
     """The values (len(nodes), ...) stored at `nodes`, interpolated to
     `points` by Lagrange's formula: (len(points), ...).  einsum, not a
-    matmul, keeps threaded BLAS out of it."""
-    return np.einsum("ij,j...->i...", _lagrange_matrix(nodes, points), values)
+    matmul, keeps threaded BLAS out of it; it runs on the float view of
+    the complex values, so the real matrix is not cast to complex."""
+    real = np.einsum("ij,j...->i...", _lagrange_matrix(nodes, points), values.view(float))
+    return real.view(complex)
 
 
 def duhamel_on_nodes(values, tg, nu, k2, t_out):

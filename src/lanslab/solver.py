@@ -31,6 +31,35 @@ from .fields import VectorField, taylor_green, zero_field
 from .grid import Grid
 from .operators import leray_project
 
+# Lower bounds of the config values, by dotted key, as configs/schema.json
+# states them: (bound, whether the bound itself is allowed).  A None value
+# (picard.ball_radius's default) is not checked.
+_LOWER_BOUNDS = {
+    "alpha": (0, True),
+    **dict.fromkeys(("nu", "T", "dt", "blowup_threshold"), (0, False)),
+    **dict.fromkeys(("seed", "snapshot_stride", "initial.j"), (0, True)),
+    "csv_stride": (1, True),
+    **dict.fromkeys(("besov.p", "besov.p_tilde", "besov.q"), (1, True)),
+    "picard.tol": (0, False),
+    **dict.fromkeys(("picard.max_iter", "picard.panels", "picard.grading"), (1, True)),
+    "picard.nodes_per_panel": (2, True),
+    "picard.ball_radius": (0, False),
+}
+
+
+def _check_bounds(section, prefix):
+    """Raise ConfigError, naming the dotted key, for the first field of the
+    config dataclass `section` outside its `_LOWER_BOUNDS` entry."""
+    for name in section.__dataclass_fields__:
+        key, value = prefix + name, getattr(section, name)
+        if key not in _LOWER_BOUNDS or value is None:
+            continue
+        bound, inclusive = _LOWER_BOUNDS[key]
+        if not (value >= bound if inclusive else value > bound):  # refuses NaN too
+            raise ConfigError(
+                f"config key {key!r}: need {key} {'>=' if inclusive else '>'} {bound}, got {value!r}"
+            )
+
 
 @dataclass(frozen=True)
 class BesovIndices:
@@ -43,6 +72,9 @@ class BesovIndices:
     p_tilde: float = 2.0
     q: float = 2.0
 
+    def __post_init__(self):
+        _check_bounds(self, "besov.")
+
 
 @dataclass(frozen=True)
 class PicardParams:
@@ -54,12 +86,7 @@ class PicardParams:
     ball_radius: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigError("picard.tol must be > 0 and picard.max_iter >= 1")
-        if self.panels < 1 or self.nodes_per_panel < 2 or self.grading < 1.0:
-            raise ConfigError(
-                "picard needs panels >= 1, nodes_per_panel >= 2, grading >= 1"
-            )
+        _check_bounds(self, "picard.")
 
 
 INITIAL_KINDS = ("taylor_green", "zero", "random_band", "random_divfree")
@@ -74,8 +101,10 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ConfigError(
-                f"unknown initial data kind {self.kind!r} (kinds: {', '.join(INITIAL_KINDS)})"
+                f"config key 'initial.kind' must be one of {', '.join(INITIAL_KINDS)}, "
+                f"got {self.kind!r}"
             )
+        _check_bounds(self, "initial.")
 
     def build(self, grid, seed=0):
         if self.kind == "taylor_green":
@@ -109,16 +138,15 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.alpha < 0 or self.nu <= 0:
-            raise ConfigError("need alpha >= 0 and nu > 0")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigError("need dt > 0 and T > 0")
+        if self.n not in (2, 3):
+            raise ConfigError(f"config key 'n' must be 2 or 3, got {self.n!r}")
         try:
-            grid = Grid(self.n, self.N)  # validates n, N
+            grid = Grid(self.n, self.N)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"config key 'N': {exc}") from exc
+        _check_bounds(self, "")
         j_max = grid.max_dyadic_index
-        if self.initial.kind == "random_band" and not 0 <= self.initial.j <= j_max:
+        if self.initial.kind == "random_band" and self.initial.j > j_max:
             raise ConfigError(
                 f"initial.j={self.initial.j} is not a resolved annulus on N={self.N}: "
                 f"random_band needs 0 <= initial.j <= {j_max} (2^(j+1) <= N/2)"

@@ -8,6 +8,7 @@ and never a silently applied default.
 import copy
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -119,6 +120,7 @@ RANGE_PROBES = {
     "moser_sub_one_p": ("moser", "p", 0.5, "at least 1"),
     "heat_smoothing_sub_one_q": ("heat_smoothing", "q", 0.5, "at least 1"),
     "gamma_ct_zero_horizon": ("gamma_ct", "T", 0, "positive"),
+    "bernstein_negative_seed": ("bernstein", "seed", -5, "at least 0"),
 }
 
 
@@ -271,6 +273,8 @@ ARG_PROBES = {
                      ["--threads", "0"]),
     "seed_not_integer": (["sweep", "--axis", "alpha", "--values", "0.1", "--seed", "x"],
                          ["--seed", "'x'"]),
+    "seed_negative": (["sweep", "--axis", "alpha", "--values", "0.1", "--seed", "-1"],
+                      ["'seed'", "got -1"]),
     "threads_env_not_integer": (["sweep", "--axis", "alpha", "--values", "0.1"],
                                 ["LANS_LAB_THREADS", "'junk'"], {"LANS_LAB_THREADS": "junk"}),
     "threads_env_zero": (["sweep", "--axis", "alpha", "--values", "0.1"],
@@ -331,6 +335,65 @@ def _assert_schema_matches(cls, schema, path):
 def test_schema_lists_the_config_fields():
     schema = json.loads((CONFIGS / "schema.json").read_text())
     _assert_schema_matches(SolverConfig, schema, "")
+
+
+def _past_the_bounds(schema, path=""):
+    """(dotted key, value) one step past each minimum, exclusiveMinimum and
+    enum that `schema` states, nested objects included."""
+    for name, prop in schema["properties"].items():
+        key = path + name
+        if prop["type"] == "object":
+            yield from _past_the_bounds(prop, key + ".")
+            continue
+        step = 1 if prop["type"] == "integer" else 0.5
+        if "minimum" in prop:
+            yield key, prop["minimum"] - step
+        if "exclusiveMinimum" in prop:
+            yield key, prop["exclusiveMinimum"]
+        if "enum" in prop:
+            enum = prop["enum"]
+            yield key, max(enum) + 1 if prop["type"] == "integer" else f"not_{enum[0]}"
+
+
+SCHEMA_BOUNDS = sorted(_past_the_bounds(json.loads((CONFIGS / "schema.json").read_text())))
+
+
+def test_schema_states_bounds():
+    assert {"seed", "csv_stride", "initial.j", "besov.q", "picard.ball_radius"} <= {
+        key for key, _ in SCHEMA_BOUNDS
+    }
+
+
+@pytest.mark.parametrize("key, value", SCHEMA_BOUNDS)
+def test_schema_bounds_are_enforced(key, value):
+    doc = copy.deepcopy(VALID_CONFIG)
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    with pytest.raises(ConfigError, match=f"'{re.escape(key)}'"):
+        config_from_dict(doc)
+
+
+# Values the schema bounds but the code took: each ended in a traceback
+# (exit 1), a wrong exit code or a silently clamped or ignored value.
+RANDOM_INITIAL = {"kind": "random_divfree", "amplitude": 0.1}
+BOUND_PROBES = {
+    "negative_seed": ("solve", {"seed": -1, "initial": RANDOM_INITIAL}, "seed"),
+    "zero_csv_stride": ("solve", {"csv_stride": 0}, "csv_stride"),
+    "negative_snapshot_stride": ("solve", {"snapshot_stride": -4}, "snapshot_stride"),
+    "negative_blowup_threshold": ("solve", {"blowup_threshold": -1}, "blowup_threshold"),
+    "sub_one_besov_q": ("solve", {"besov": {"q": 0.5}}, "besov.q"),
+    "sub_one_besov_p": ("solve", {"besov": {"p": 0.5}}, "besov.p"),
+    "negative_band_unused": ("solve", {"initial": {"kind": "taylor_green", "j": -1}}, "initial.j"),
+    "negative_ball_radius": ("picard", {"picard": {"ball_radius": -1}}, "picard.ball_radius"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_PROBES))
+def test_out_of_bound_config_value_exit2(tmp_path, capsys, case):
+    command, update, key = BOUND_PROBES[case]
+    code, err, out = _run(tmp_path, command, {**VALID_CONFIG, **update}, capsys)
+    assert code == 2 and f"'{key}'" in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import picard_reference as ref
 from helpers import div_l2_residual
 from lanslab.errors import AdmissibilityError
-from lanslab.fields import l2_norm, to_real
+from lanslab.fields import SpectralField, l2_norm, to_real
 from lanslab.picard import check_admissibility, estimate_existence_time, picard_solve
 from lanslab.solver import InitialSpec, PicardParams, SolverConfig, solve_ivp
 
@@ -227,3 +227,25 @@ def test_sweeps_hold_one_correction_stack(monkeypatch):
     # u0, the correction, the node forcing and the node's state
     state = 3 * 16**3 * 16
     assert np.max(per_sweep) <= 2 * state + stack + 4 / 5 * stack + state / 4
+
+
+@pytest.mark.filterwarnings(COVERAGE_WARNING)
+@pytest.mark.parametrize("max_iter", [3, 1])
+def test_each_state_formed_once_per_pass(monkeypatch, max_iter):
+    """A run forms the full state at every output time once for Gamma u0
+    and once per sweep, whether the last sweep is ended by max_iter or not:
+    outputs x (sweeps + 1) states."""
+    import lanslab.picard as picard
+
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return SpectralField(*args)
+
+    monkeypatch.setattr(picard, "SpectralField", counted)
+    cfg = picard_cfg(picard=PicardParams(tol=1e-300, max_iter=max_iter, panels=2,
+                                         nodes_per_panel=2))
+    _, rep = picard_solve(cfg.initial_field(), cfg)
+    assert rep.iterates == max_iter
+    assert len(formed) == (2 * 2 + 1) * (max_iter + 1)

@@ -145,6 +145,11 @@ def _matmul_interpolate(nodes, points, values):
     return (_lagrange_matrix(nodes, points) @ flat).reshape((len(points),) + values.shape[1:])
 
 
+def _complex_einsum_interpolate(nodes, points, values):
+    """The Lagrange products with the real matrix cast to complex."""
+    return np.einsum("ij,j...->i...", _lagrange_matrix(nodes, points), values)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_interpolation_matches_its_matmul_form(monkeypatch, m):
     import lanslab.quadrature as quadrature
@@ -159,6 +164,11 @@ def test_interpolation_matches_its_matmul_form(monkeypatch, m):
     traj = Trajectory(times=ts, fields=[math.cos(3 * t) * f0 + t**2 * f1 for t in ts])
     k2 = ksq(GRID)
     nodes, applied = duhamel_on_nodes(values, tg, 0.7, k2, t_out), duhamel_apply(traj, ts)
+    # the float view computes the complex form's products and sums exactly
+    monkeypatch.setattr(quadrature, "_interpolate", _complex_einsum_interpolate)
+    assert np.array_equal(nodes, duhamel_on_nodes(values, tg, 0.7, k2, t_out))
+    assert all(np.array_equal(a.data, b.data)
+               for a, b in zip(applied.fields, duhamel_apply(traj, ts).fields))
     monkeypatch.setattr(quadrature, "_interpolate", _matmul_interpolate)
     assert _max_gap(nodes, duhamel_on_nodes(values, tg, 0.7, k2, t_out)) <= 1e-15
     matmul = duhamel_apply(traj, ts)
