@@ -1,11 +1,14 @@
-"""Thin wrappers around scipy.fft with a process-wide worker count.
+"""Thin wrappers around scipy.fft with a process-wide worker count, and
+the one owner of lanslab's coefficient convention: forward transforms
+return u_hat(k) = N^-n sum_x u(x) e^{-i k.x} (u_hat(0) is the mean) and
+inverse transforms the plain Fourier sum u(x) = sum_k u_hat(k) e^{i k.x},
+so no caller rescales by N^n.  That is scipy's norm="forward"; N^n is a
+power of two, so u_hat is bitwise the unnormalised transform over N^n.
 
 All transforms act on the trailing spatial axes so leading axes batch
 components and dyadic blocks in a single call.  The worker count is a
-performance knob only; results are bitwise independent of it.  `norm`
-is scipy's: "forward" puts the whole 1/N^n on the forward transform, and
+performance knob only; results are bitwise independent of it.
 `overwrite=True` lets a c2c transform reuse its complex input's buffer.
-
 Below the wrappers is the pairing rule that puts two real fields in one
 c2c transform; it transforms nothing itself.
 """
@@ -21,9 +24,11 @@ _workers = 1
 
 
 def set_workers(k):
-    """Set the FFT worker count (1 = serial)."""
+    """Set the FFT worker count (1 = serial); k < 1 raises ValueError."""
     global _workers
-    _workers = max(1, int(k))
+    if int(k) < 1:
+        raise ValueError(f"FFT worker count must be a positive integer, got {k!r}")
+    _workers = int(k)
 
 
 def get_workers():
@@ -47,21 +52,19 @@ def workers_from_env():
 
 
 def fftn(a, nax, *, overwrite=False):
-    return _sfft.fftn(a, axes=tuple(range(-nax, 0)), overwrite_x=overwrite, workers=_workers)
+    return _sfft.fftn(a, axes=range(-nax, 0), norm="forward", overwrite_x=overwrite, workers=_workers)
 
 
 def ifftn(a, nax, *, overwrite=False):
-    return _sfft.ifftn(a, axes=tuple(range(-nax, 0)), overwrite_x=overwrite, workers=_workers)
+    return _sfft.ifftn(a, axes=range(-nax, 0), norm="forward", overwrite_x=overwrite, workers=_workers)
 
 
-def rfftn(a, nax, *, norm=None):
-    return _sfft.rfftn(a, axes=tuple(range(-nax, 0)), norm=norm, workers=_workers)
+def rfftn(a, nax):
+    return _sfft.rfftn(a, axes=range(-nax, 0), norm="forward", workers=_workers)
 
 
-def irfftn(a, shape, *, norm=None):
-    return _sfft.irfftn(
-        a, s=shape, axes=tuple(range(-len(shape), 0)), norm=norm, workers=_workers
-    )
+def irfftn(a, shape):
+    return _sfft.irfftn(a, s=shape, axes=range(-len(shape), 0), norm="forward", workers=_workers)
 
 
 # Two real fields per c2c transform (Press et al., Numerical Recipes,

@@ -116,6 +116,15 @@ def load_config(path):
     return config_from_dict(read_json(path))
 
 
+def _at_path(flag, path, action):
+    """action(path) for the value `path` of `flag`, an OSError (say, a file
+    where a directory is made) raised as a ConfigError naming both."""
+    try:
+        return action(path)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror}") from None
+
+
 class Manifest:
     def __init__(self, command, out_dir, config_snapshot, seed):
         self.data = {
@@ -141,7 +150,7 @@ class Manifest:
 
 def _load_config(args):
     """The --config file with --seed applied."""
-    cfg = load_config(args.config)
+    cfg = _at_path("--config", args.config, load_config)
     if args.seed is not None:
         cfg = cfg.with_updates(seed=int(args.seed))
     return cfg
@@ -150,7 +159,7 @@ def _load_config(args):
 def _open_output(args, command, config_snapshot, seed):
     """The --out directory, created, and the run's manifest."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _at_path("--out", out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
     return out_dir, Manifest(command, out_dir, config_snapshot, seed)
 
 
@@ -264,12 +273,10 @@ def cmd_verify(args):
     from .checks import run_check
 
     suite_path = Path(args.config)
-    suite = read_json(suite_path)
+    suite = _at_path("--config", suite_path, read_json)
     if not (isinstance(suite, dict) and set(suite) == {"checks"}
             and isinstance(suite["checks"], list)):
-        print(f"error: {suite_path}: a suite is an object with one key, a 'checks' array",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{suite_path}: a suite is an object with one key, a 'checks' array")
     entries = [
         _suite_entry(f"{suite_path}: checks[{i}]", entry, args.seed)
         for i, entry in enumerate(suite["checks"])
@@ -405,7 +412,7 @@ def cmd_lp_analyze(args):
 
     indices = [_besov_index(text) for text in args.indices or ["1,2,2"]]
     try:
-        f = read_field(args.field)
+        f = _at_path("--field", args.field, read_field)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_dir, manifest = _open_output(args, "lp-analyze", {"field": str(args.field)}, 0)
@@ -485,7 +492,7 @@ def main(argv=None):
             raise ConfigError(f"argument --threads: {args.threads} is not a positive integer")
         _fft.set_workers(args.threads if args.threads is not None else _fft.workers_from_env())
         return args.fn(args)
-    except (ConfigError, AdmissibilityError, FileNotFoundError) as exc:
+    except (ConfigError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

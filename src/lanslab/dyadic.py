@@ -155,17 +155,15 @@ class DyadicFamily:
         pairs, odd = divmod(self.j_max + 1, 2)
         half = (ncomp + 1) // 2
         stack = np.empty((pairs * ncomp + odd * half,) + grid.shape, dtype=complex)
-        # the 1/N^n of ifftn is undone on the tables (exact: N^n is a power of two)
         table = np.empty(grid.shape, dtype=complex)
         for m in range(pairs):
-            np.multiply(self.psi_hat[2 * m], grid.npoints, out=table.real)
-            np.multiply(self.psi_hat[2 * m + 1], grid.npoints, out=table.imag)
+            table.real, table.imag = self.psi_hat[2 * m], self.psi_hat[2 * m + 1]
             np.multiply(F, table, out=stack[m * ncomp : (m + 1) * ncomp])
         if odd:  # components c and c + half of the last block share a slot
             last = stack[pairs * ncomp :]
             last[...] = F[:half]
             last[: ncomp - half] += 1j * F[half:]
-            last *= self.psi_hat[-1] * grid.npoints
+            last *= self.psi_hat[-1]
         phys = _fft.ifftn(stack, grid.n, overwrite=True)
         slots = phys[: pairs * ncomp].reshape((pairs,) + F.shape)
         blocks = [part for slot in slots for part in (slot.real, slot.imag)]

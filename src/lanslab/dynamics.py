@@ -30,6 +30,24 @@ def _velocity_spectrum(u, what):
     return to_spectral(u).coeffs
 
 
+def _slabs(shape):
+    """First-axis slices of about 4096 points: slab-wise products stay in cache."""
+    step = max(1, 4096 // int(np.prod(shape[1:])))
+    return [slice(a, a + step) for a in range(0, shape[0], step)]
+
+
+def _stress_product(jac, out):
+    """`out` = (J + J^T)(J - J^T) = 2 Def . Om from the Jacobian samples
+    `jac` (n, n, ...), which is left holding J - J^T."""
+    twice_def = jac + jac.swapaxes(0, 1)
+    for i in range(len(jac)):  # J <- J - J^T in place
+        jac[i, i] = 0.0
+        for j in range(i + 1, len(jac)):
+            np.subtract(jac[i, j], jac[j, i], out=jac[i, j])
+            np.negative(jac[i, j], out=jac[j, i])
+    return np.einsum("ik...,kj...->ij...", twice_def, jac, out=out)
+
+
 def _samples(coeffs, grid, terms):
     """Real samples of u_i (j None) or d_j u_i for each (i, j) in `terms`,
     as a paired stack (`_fft.pack`): ceil(len(terms)/2) inverses of N^n
@@ -38,19 +56,16 @@ def _samples(coeffs, grid, terms):
     Each slot is A + iB for the Hermitian spectra A and B of two terms.
     The derivative table i k_j has its Nyquist wavenumber set to 0: there
     i k_j u_hat is anti-Hermitian, and the real part of a separate inverse
-    drops it.  N^n is folded into the tables (exact: a power of two), so
-    ifftn returns samples.
+    drops it.
     """
     n = grid.n
-    scales = []
-    for j in range(n):
-        k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-        k[grid.N // 2] = 0.0
-        scales.append((1j * grid.npoints * k).reshape((-1,) + (1,) * (n - 1 - j)))
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k[grid.N // 2] = 0.0
+    scales = [(1j * k).reshape((-1,) + (1,) * (n - 1 - j)) for j in range(n)]
 
     def spectrum(term, out):
         i, j = term
-        np.multiply(coeffs[i], grid.npoints if j is None else scales[j], out=out)
+        np.multiply(coeffs[i], 1.0 if j is None else scales[j], out=out)
 
     half = (len(terms) + 1) // 2
     stack = np.empty((half,) + grid.shape, dtype=complex)
@@ -65,7 +80,7 @@ def _samples(coeffs, grid, terms):
 
 
 def _stress_hat(coeffs, grid, a2, with_velocity):
-    """N^n tau_hat on the kept modes (`grid.kept_modes`), shape (n, n, M),
+    """tau_hat on the kept modes (`grid.kept_modes`), shape (n, n, M),
     from the velocity spectrum; with the velocity samples (n, N, ..., N)
     when `with_velocity`, else None.
 
@@ -86,16 +101,12 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
     # every product but the last diagonal one, (n, n) in row-major order
     count = n * n - 1
     prod = np.zeros(((count + 1) // 2,) + shape, dtype=complex)
-    slab = max(1, 4096 // int(np.prod(shape[1:])))  # planes of 4096 points
-    for a in range(0, shape[0], slab):
-        part = slice(a, a + slab)
+    for part in _slabs(shape):
         jac = _fft.unpack(samples[:, part], first + n * n)[first:]
         jac = jac.reshape((n, n) + jac.shape[1:])  # J[i, j] = d_j u_i
-        twice_def = jac + jac.swapaxes(0, 1)
-        jac -= jac.swapaxes(0, 1)  # Om; numpy buffers the overlapping operands
-        slab_prod = np.einsum("ik...,kj...->ij...", twice_def, jac)
+        slab_prod = _stress_product(jac, np.empty_like(jac))
         _fft.pack(slab_prod.reshape((n * n,) + jac.shape[2:])[:count], prod[:, part])
-    del samples, jac, twice_def, slab_prod
+    del samples, jac, slab_prod
     prod = _fft.fftn(prod, n, overwrite=True)
     kept, mirror = kept_modes(grid)
     total = np.empty((n * n, kept.size), dtype=complex)
@@ -107,14 +118,12 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
 
 
 def _divergence_like(u, tensor_hat):
-    """(div T)_i = sum_j d_j T_ij from N^n T_hat on the kept modes, of the
+    """(div T)_i = sum_j d_j T_ij from T_hat on the kept modes, of the
     same kind as u; zero off the kept modes."""
     grid = u.grid
     kept, _ = kept_modes(grid)
     ik = 1j * wavevectors(grid).reshape(grid.n, -1)[:, kept]
-    vhat = np.einsum("jm,ijm->im", ik, tensor_hat)
-    vhat /= grid.npoints
-    return like(u, on_kept(grid, vhat))
+    return like(u, on_kept(grid, np.einsum("jm,ijm->im", ik, tensor_hat)))
 
 
 def reynolds_stress_divergence(u, alpha):

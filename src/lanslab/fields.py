@@ -104,16 +104,14 @@ def to_spectral(f):
     """Forward transform; the k=0 coefficient equals the field mean."""
     if isinstance(f, SpectralField):
         return f
-    coeffs = _fft.fftn(f.data, f.grid.n) / f.grid.npoints
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, _fft.fftn(f.data, f.grid.n))
 
 
 def to_real(F):
     """Inverse transform; drops the (round-off level) imaginary part."""
     if isinstance(F, VectorField):
         return F
-    data = np.real(_fft.ifftn(F.coeffs * F.grid.npoints, F.grid.n))
-    return VectorField(F.grid, data)
+    return VectorField(F.grid, np.real(_fft.ifftn(F.coeffs, F.grid.n)))
 
 
 def like(f, coeffs):

@@ -8,14 +8,9 @@ with an integrating-factor RK4 scheme: the stiff viscous factor is applied
 exactly through e^{-nu |k|^2 dt} multipliers and only the dealiased
 nonlinearity is advanced by the Runge-Kutta stages, giving fourth-order
 accuracy on the nonlinear term.  States stay divergence-free to round-off
-because every stage is Leray-projected in spectral space.
-
-Coefficient convention: the stepper's state is the half spectrum of
-`rfftn(u, norm="forward")`, u_hat(k) = N^-n sum_x u(x) e^{-i k.x}, and
-`irfftn(u_hat, norm="forward")` is the plain Fourier sum back.  The 1/N^n
-thus rides inside the transforms instead of separate `/ N^n` and `* N^n`
-passes; N is a power of two, so the coefficients are bitwise those of the
-default-normalised transform divided by N^n.
+because every stage is Leray-projected in spectral space.  The state is
+the half spectrum `_fft.rfftn` returns, in the coefficient convention of
+`_fft`.
 """
 
 import math
@@ -26,6 +21,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import _fft
+from .dynamics import _slabs, _stress_product
 from .errors import BlowUpError, ConfigError
 from .fields import VectorField, taylor_green, zero_field
 from .grid import Grid
@@ -253,8 +249,7 @@ class Trajectory:
 
 
 class SpectralStepper:
-    """Integrating-factor RK4 stepper in (real-input) spectral variables,
-    with the norm="forward" coefficients of the module docstring."""
+    """Integrating-factor RK4 stepper in (real-input) spectral variables."""
 
     def __init__(self, grid, alpha, nu, dt):
         self.grid = grid
@@ -296,17 +291,14 @@ class SpectralStepper:
         self.e_full = np.exp(-self.nu * k2 * self.dt).astype(complex)
         self.e_half = np.exp(-self.nu * k2 * self.dt / 2.0).astype(complex)
         self.shape = grid.shape
-        # Planes per slab of the kernel's physical-space products: slabs of
-        # about 4096 points keep their operands in cache between passes.
-        self.slab = max(1, 4096 // math.prod(self.shape[1:]))
 
     # -- transforms between VectorField and the internal state ----------
 
     def to_state(self, u):
-        return _fft.rfftn(u.data, self.grid.n, norm="forward")
+        return _fft.rfftn(u.data, self.grid.n)
 
     def to_field(self, state):
-        return VectorField(self.grid, _fft.irfftn(state, self.shape, norm="forward"))
+        return VectorField(self.grid, _fft.irfftn(state, self.shape))
 
     # -- diagnostics -----------------------------------------------------
 
@@ -346,27 +338,19 @@ class SpectralStepper:
         grad = np.empty((n + n * n,) + spec, dtype=complex)
         grad[:n] = state
         np.multiply(self.ik[None], state[:, None], out=grad[n:].reshape((n, n) + spec))
-        phys = _fft.irfftn(grad, shape, norm="forward")
+        phys = _fft.irfftn(grad, shape)
         del grad
         u, jac = phys[:n], phys[n:].reshape((n, n) + shape)
         flux = np.empty((n + n * n if self.alpha > 0 else n,) + shape)
         conv, prod = flux[:n], flux[n:].reshape((-1, n) + shape)
-        for a in range(0, shape[0], self.slab):
-            part = slice(a, a + self.slab)
+        for part in _slabs(shape):
             J = jac[:, :, part]
             np.einsum("j...,ij...->i...", u[:, part], J, out=conv[:, part])
             if self.alpha > 0:
-                sym = J + J.swapaxes(0, 1)
-                for i in range(n):  # J <- J - J^T in place
-                    J[i, i] = 0.0
-                    for j in range(i + 1, n):
-                        np.subtract(J[i, j], J[j, i], out=J[i, j])
-                        np.negative(J[i, j], out=J[j, i])
-                np.einsum("ik...,kj...->ij...", sym, J, out=prod[:, :, part])
-                del sym
+                _stress_product(J, prod[:, :, part])
         # the views go with their bases: J of phys, conv and prod of flux
         del phys, u, jac, J
-        fwd = _fft.rfftn(flux, n, norm="forward")
+        fwd = _fft.rfftn(flux, n)
         del flux, conv, prod
         fwd = np.take(fwd.reshape(len(fwd), -1), self.kept, axis=1)
         kv, kv_k2, ik_tau = self.kept_tables

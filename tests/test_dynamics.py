@@ -4,7 +4,7 @@ import dynamics_reference as reference
 import numpy as np
 import pytest
 
-from lanslab import _fft, fields
+from lanslab import fields
 from lanslab.fields import (
     SpectralField,
     VectorField,
@@ -30,8 +30,9 @@ def shear_field(grid):
 
 
 # Slow reference path: the tensors as physical samples, one c2c round trip
-# per stage and per real field.  The fast kernels in lanslab.dynamics are
-# compared against it and against tests/dynamics_reference.py.
+# per stage and per real field, through the reference's own scipy.fft
+# transforms.  The fast kernels in lanslab.dynamics are compared against it
+# and against tests/dynamics_reference.py.
 
 dealias_array = reference.dealias_array
 
@@ -43,14 +44,14 @@ def gradient_tensor(f):
     coeffs = to_spectral(f).coeffs
     jac = 1j * kv[None, :, ...] * coeffs[:, None, ...]
     flat = jac.reshape((-1,) + grid.shape)
-    return np.real(_fft.ifftn(flat * grid.npoints, grid.n)).reshape(jac.shape)
+    return np.real(reference.ifftn(flat, grid.n)).reshape(jac.shape)
 
 
 def divergence_tensor(grid, tensor):
     """(div T)_i = sum_j d_j T_ij for tensor samples of shape (n, n, ...)."""
     kv = wavevectors(grid)
     flat = tensor.reshape((-1,) + grid.shape)
-    t_hat = (_fft.fftn(flat, grid.n) / grid.npoints).reshape(tensor.shape)
+    t_hat = reference.fftn(flat, grid.n).reshape(tensor.shape)
     div_hat = np.sum(1j * kv[None, ...] * t_hat, axis=1)
     return to_real(SpectralField(grid, div_hat))
 
@@ -69,9 +70,9 @@ def reynolds_stress(u, alpha):
     rotation = jac - np.swapaxes(jac, 0, 1)
     prod = np.einsum("ik...,kj...->ij...", deform, rotation)
     flat = dealias_array(grid, prod.reshape((-1,) + grid.shape))
-    prod_hat = _fft.fftn(flat, grid.n) / grid.npoints
+    prod_hat = reference.fftn(flat, grid.n)
     tau_hat = a2 * prod_hat / (1.0 + a2 * ksq(grid))
-    tau = np.real(_fft.ifftn(tau_hat * grid.npoints, grid.n))
+    tau = np.real(reference.ifftn(tau_hat, grid.n))
     return tau.reshape(prod.shape)
 
 

@@ -281,6 +281,12 @@ ARG_PROBES = {
                          ["LANS_LAB_THREADS", "'0'"], {"LANS_LAB_THREADS": "0"}),
     "threads_env_negative": (["sweep", "--axis", "alpha", "--values", "0.1"],
                              ["LANS_LAB_THREADS", "'-2'"], {"LANS_LAB_THREADS": "-2"}),
+    # paths of the wrong kind ({tmp}/bad.lans is a file, {tmp} a directory)
+    "out_is_a_file": (["solve", "--out", "{tmp}/bad.lans"], ["--out", "bad.lans"]),
+    "out_below_a_file": (["solve", "--out", "{tmp}/bad.lans/sub"], ["--out", "bad.lans/sub"]),
+    "solve_config_is_a_directory": (["solve", "--config", "{tmp}"], ["--config", "{tmp}"]),
+    "verify_config_is_a_directory": (["verify", "--config", "{tmp}"], ["--config", "{tmp}"]),
+    "field_is_a_directory": (["lp-analyze", "--field", "{tmp}"], ["--field", "{tmp}"]),
 }
 
 
@@ -294,21 +300,26 @@ def test_malformed_cli_argument_exit2(tmp_path, capsys, monkeypatch, case):
     for name, value in (env[0] if env else {}).items():
         monkeypatch.setenv(name, value)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    expected = [text.replace("{tmp}", str(tmp_path)) for text in expected]
     out = tmp_path / "out"
     (tmp_path / "bad.lans").write_bytes(b"not a field")
-    if "sweep" in argv:
+    if argv[0] == "lp-analyze":
+        if "--field" not in argv:
+            path = tmp_path / "f.lans"
+            write_field(path, zero_field(Grid(2, 8)), field_id="probe")
+            argv = argv + ["--field", str(path)]
+    elif "--config" not in argv:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(VALID_CONFIG))
         argv = argv + ["--config", str(path)]
-    elif "--field" not in argv:
-        path = tmp_path / "f.lans"
-        write_field(path, zero_field(Grid(2, 8)), field_id="probe")
-        argv = argv + ["--field", str(path)]
-    assert main(argv + ["--out", str(out)]) == 2
+    if "--out" not in argv:
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     for text in expected:
         assert text in err
     assert not out.exists()
+    assert (tmp_path / "bad.lans").read_bytes() == b"not a field"
 
 
 def test_help_still_exits_0(capsys):

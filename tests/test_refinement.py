@@ -68,3 +68,11 @@ def test_workers_env_fallback(monkeypatch):
     assert _fft.workers_from_env() == 1
     monkeypatch.delenv("LANS_LAB_THREADS")
     assert _fft.workers_from_env() == 1
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_set_workers_rejects_non_positive_counts(bad):
+    before = _fft.get_workers()
+    with pytest.raises(ValueError, match=str(bad)):
+        _fft.set_workers(bad)
+    assert _fft.get_workers() == before

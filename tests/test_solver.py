@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from lanslab import _fft
 from lanslab.dynamics import nonlinearity_V, semigroup_apply
@@ -145,9 +146,9 @@ def test_besov_series_recorded():
 
 
 class _SlowKernel:
-    """The stepper's nonlinear term as first written: default-normalised
-    transforms with explicit `/ npoints` and `* npoints` passes, the mask
-    and the Helmholtz division on every call, an out-of-place projection.
+    """The stepper's nonlinear term as first written: one batch of scipy
+    transforms each way in lanslab's coefficient convention, the mask and
+    the Helmholtz division on every call, an out-of-place projection.
     It is the slow-path oracle for `SpectralStepper.nonlinear`."""
 
     def __init__(self, grid, alpha):
@@ -163,8 +164,8 @@ class _SlowKernel:
         self.k2_safe[(0,) * n] = 1.0
         self.dealias = np.all(np.abs(self.kv) <= N // 3, axis=0)
         self.helm = 1.0 + self.alpha**2 * self.k2
-        self.npoints = grid.npoints
         self.shape = grid.shape
+        self.axes = tuple(range(-n, 0))
 
     def project(self, state):
         kdot = np.sum(self.kv * state, axis=0)
@@ -178,8 +179,8 @@ class _SlowKernel:
         jac_hat = (1j * self.kv[None, :] * state[:, None]).reshape(
             (n * n,) + self.k2.shape
         )
-        phys = _fft.irfftn(
-            np.concatenate([state, jac_hat]) * self.npoints, self.shape
+        phys = sfft.irfftn(
+            np.concatenate([state, jac_hat]), self.shape, axes=self.axes, norm="forward"
         )
         u = phys[:n]
         jac = phys[n:].reshape((n, n) + self.shape)
@@ -188,9 +189,10 @@ class _SlowKernel:
             deform = 0.5 * (jac + np.swapaxes(jac, 0, 1))
             rotation = jac - np.swapaxes(jac, 0, 1)
             prod = np.einsum("ik...,kj...->ij...", deform, rotation)
-            fwd = _fft.rfftn(
-                np.concatenate([conv, prod.reshape((n * n,) + self.shape)]), n
-            ) * (self.dealias / self.npoints)
+            fwd = sfft.rfftn(
+                np.concatenate([conv, prod.reshape((n * n,) + self.shape)]),
+                axes=self.axes, norm="forward",
+            ) * self.dealias
             vhat = fwd[:n]
             tau_hat = (
                 self.alpha**2 * fwd[n:].reshape((n, n) + self.k2.shape)
@@ -198,7 +200,7 @@ class _SlowKernel:
             )
             vhat = vhat + np.einsum("j...,ij...->i...", 1j * self.kv, tau_hat)
         else:
-            vhat = _fft.rfftn(conv, n) * (self.dealias / self.npoints)
+            vhat = sfft.rfftn(conv, axes=self.axes, norm="forward") * self.dealias
         return -self.project(vhat)
 
 
@@ -236,11 +238,21 @@ def test_nonlinear_matches_physical_space_oracle(n, N, alpha):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_forward_norm_is_exact_rescaling(n):
-    grid = Grid(n, 32)
-    x = np.random.default_rng(3).standard_normal((4,) + grid.shape)
-    spec = _fft.rfftn(x, n)
-    assert np.array_equal(_fft.rfftn(x, n, norm="forward"), spec / grid.npoints)
-    assert np.array_equal(
-        _fft.irfftn(spec, grid.shape, norm="forward"),
-        _fft.irfftn(spec * grid.npoints, grid.shape),
-    )
+    # The one coefficient convention (`lanslab._fft`): each forward wrapper
+    # is scipy's unnormalised transform times 1/N^n and each inverse the
+    # plain Fourier sum, bitwise (N^n is a power of two).
+    rng = np.random.default_rng(3)
+    for N in (8, 16, 32, 64):
+        shape, axes, npoints = (N,) * n, tuple(range(-n, 0)), N**n
+        x = rng.standard_normal((2,) + shape)
+        z = x + 1j * rng.standard_normal(x.shape)
+        assert np.array_equal(_fft.fftn(x, n), sfft.fftn(x, axes=axes) / npoints)
+        assert np.array_equal(_fft.fftn(z, n), sfft.fftn(z, axes=axes) / npoints)
+        assert np.array_equal(_fft.ifftn(z, n), sfft.ifftn(z * npoints, axes=axes))
+        for transform in (_fft.fftn, _fft.ifftn):
+            assert np.array_equal(transform(z.copy(), n, overwrite=True), transform(z, n))
+        half = _fft.rfftn(x, n)
+        assert np.array_equal(half, sfft.rfftn(x, axes=axes) / npoints)
+        assert np.array_equal(
+            _fft.irfftn(half, shape), sfft.irfftn(half * npoints, s=shape, axes=axes)
+        )
