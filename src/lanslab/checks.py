@@ -25,7 +25,7 @@ are ConfigErrors too, raised before any check runs.
 
 import inspect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class CheckReport:
     params: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
+        """The report in JSON values, an infinite float as "inf", `passed` as "pass"."""
+
         def clean(x):
             if isinstance(x, (np.floating, np.integer)):
                 return x.item()
@@ -77,15 +79,9 @@ class CheckReport:
                 return "inf"
             return x
 
-        return {
-            "check_id": self.check_id,
-            "params": clean(self.params),
-            "ensemble": self.ensemble,
-            "ratios": clean(list(self.ratios)),
-            "max_ratio": clean(self.max_ratio),
-            "pass": bool(self.passed),
-            "details": clean(self.details),
-        }
+        record = clean(asdict(self))
+        record["pass"] = bool(record.pop("passed"))
+        return record
 
 
 def _ratio_report(ensemble, ratios, ok=True, **details):
@@ -317,6 +313,8 @@ def check_bernstein(
     if p > q:
         raise ParameterGateError("bernstein", "p <= q", {"p": p, "q": q})
     n = grid.n
+    if not (order + n) * math.log2(grid.N) < 1024:  # |k|^order and 2^{j order} are finite
+        raise ParameterGateError("bernstein", "(order + n) log2(N) < 1024", {"order": order})
     ratios = []
     per_scale = {}
     for j in range(j_lo, j_hi + 1):
@@ -680,14 +678,13 @@ def check_duhamel_lsigma(
     """L^{sigma0} -> L^{sigma1} mapping bound for the heat convolution."""
     fam = build_dyadic_family(grid)
     heat = (s1 - s0 + grid.n * (1.0 / p0 - 1.0 / p1)) / 2.0
-    inv_sigma1 = 1.0 / sigma0 - (1.0 - heat)
-    if not (inv_sigma1 > 0 and sigma0 > 1):
+    if not (sigma0 > 1 and 1.0 / sigma0 - (1.0 - heat) > 0):
         raise ParameterGateError(
             "duhamel_lsigma",
             "1/sigma0 - 1 + (s1-s0+n/p0-n/p1)/2 > 0 with sigma0 > 1",
             {"sigma0": sigma0, "heat": heat},
         )
-    sigma1 = 1.0 / inv_sigma1
+    sigma1 = 1.0 / (1.0 / sigma0 - (1.0 - heat))
     if not sigma1 > sigma0:
         raise ParameterGateError(
             "duhamel_lsigma", "sigma1 > sigma0", {"sigma0": sigma0, "sigma1": sigma1}
@@ -714,6 +711,8 @@ def check_duhamel_bc(grid, *, s0=1.0, s1=1.5, p0=2.0, p1=2.0, q=2.0, T=1.0, tria
             "duhamel_bc", "1 - (s1-s0+n/p0-n/p1)/2 > 0", {"heat": heat}
         )
     sigma = 1.0 / inv_sigma
+    if sigma < 1:
+        raise ParameterGateError("duhamel_bc", "sigma >= 1", {"sigma": sigma})
     if not 1.0 / p1 <= inv_sigma:
         raise ParameterGateError("duhamel_bc", "1/p1 <= 1/sigma", {"sigma": sigma})
     ts = np.linspace(0.0, T, 33)
@@ -734,6 +733,8 @@ def check_v_alpha_ct(
     trajectories: ||V(u)||_{2a; s-1, p_bar, q} <= C ||u||^2_{a; s, p, q}."""
     fam = build_dyadic_family(grid)
     _tau_gate("v_alpha_ct", grid.n, s, p, p_bar, q)
+    if not 2 * a < 1:  # the contraction space's weight; t^{2a} of a larger a underflows
+        raise ParameterGateError("v_alpha_ct", "2a < 1", {"a": a})
     ratios = []
     ts = np.linspace(0.0, T, 17)
     for t in range(trials):
@@ -805,7 +806,8 @@ def _at_least_1(v, grid):
 
 
 # Ranges of well-typed parameters, by name: (value, grid) -> (in range,
-# requirement).  A None value (the check's default) is not checked.
+# requirement); grid is None for a check without one.  A None value (the
+# check's default) is not checked.
 _RANGES = {
     **dict.fromkeys(("j_max", "j_lo", "j_hi"), _dyadic_index),
     # counts, and the Lebesgue and summability exponents
@@ -814,11 +816,13 @@ _RANGES = {
          "p_bar", "r1", "r2", "emb_p1", "emb_p2"),
         _at_least_1,
     ),
-    **dict.fromkeys(("order", "seed"), lambda v, grid: (v >= 0, "at least 0")),
+    **dict.fromkeys(("order", "seed", "a"), lambda v, grid: (v >= 0, "at least 0")),
+    "k_max": lambda v, grid: (v >= 3, "at least 3"),
+    "alpha": lambda v, grid: (v >= 0 and math.isfinite(v * v), "at least 0, with a finite square"),
     "T": lambda v, grid: (v > 0, "positive"),
     "t_grid": lambda v, grid: (
-        len(v) > 0 and all(0 <= t < math.inf for t in v),
-        "a non-empty list of finite times >= 0",
+        all(0 <= t < math.inf for t in v) and any(t > 0 for t in v),
+        "a non-empty list of finite times >= 0, one of them positive",
     ),
 }
 
@@ -846,13 +850,13 @@ def parse_params(check_id, params):
             if default is inspect.Parameter.empty:
                 raise ConfigError(f"{where}: missing required parameter {name!r}")
             kwargs[name] = default
-    if "n" not in kwargs:
-        return (), kwargs
-    n, N = kwargs.pop("n"), kwargs.pop("N")
-    try:
-        grid = Grid(n, N)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
+    grid = None
+    if "n" in kwargs:
+        n, N = kwargs.pop("n"), kwargs.pop("N")
+        try:
+            grid = Grid(n, N)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
     for key, value in kwargs.items():
         if key in _RANGES and value is not None:
             in_range, requirement = _RANGES[key](value, grid)
@@ -870,7 +874,7 @@ def parse_params(check_id, params):
             kwargs["run"] = _run_config(grid, **run)
         except ConfigError as exc:
             raise ConfigError(f"{where}: run parameters: {exc}") from exc
-    return (grid,), kwargs
+    return () if grid is None else (grid,), kwargs
 
 
 def run_check(check_id, params):

@@ -284,7 +284,7 @@ def cmd_verify(args):
     out_dir, manifest = _open_output(args, "verify", {"suite": str(suite_path)}, args.seed or 0)
 
     reports, all_pass = [], True
-    for cid, params in entries:
+    for i, (cid, params) in enumerate(entries):
         t0 = time.perf_counter()
         try:
             rep = run_check(cid, params)
@@ -299,7 +299,7 @@ def cmd_verify(args):
                 "pass": False,
             }
         elapsed = time.perf_counter() - t0
-        manifest.data["timings_s"][cid] = elapsed
+        manifest.data["timings_s"][f"checks[{i}] {cid}"] = elapsed
         ok = record.get("pass", False)
         all_pass = all_pass and ok
         status = "pass" if ok else record.get("status", "FAIL")

@@ -48,6 +48,12 @@ def _stress_product(jac, out):
     return np.einsum("ik...,kj...->ij...", twice_def, jac, out=out)
 
 
+def _stress_filter(a2, k2):
+    """The filter alpha^2/(2 (1 + alpha^2 |k|^2)) of tau on the table `k2`:
+    the 1/2 of Def = (J + J^T)/2 is folded in, as `_stress_product` forms J + J^T."""
+    return (0.5 * a2) / (1.0 + a2 * k2)
+
+
 def _samples(coeffs, grid, terms):
     """Real samples of u_i (j None) or d_j u_i for each (i, j) in `terms`,
     as a paired stack (`_fft.pack`): ceil(len(terms)/2) inverses of N^n
@@ -113,7 +119,7 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
     total[:count] = _fft.unpack_spectra(prod, count, kept, mirror)
     del prod
     np.negative(np.sum(total[:count : n + 1], axis=0), out=total[count])  # trace free
-    total *= (0.5 * a2) / (1.0 + a2 * ksq(grid).reshape(-1)[kept])
+    total *= _stress_filter(a2, ksq(grid).reshape(-1)[kept])
     return total.reshape(n, n, -1), u
 
 

@@ -1,19 +1,18 @@
 """Fourier-multiplier operators: Helmholtz inverse, fractional Laplacian,
-divergence, Leray projection and the Stokes projector.
+Leray projection and the Stokes projector.
 
 Every operator here is a constant-coefficient multiplier on the lattice, so
 they commute exactly and preserve band limits.  Each takes a real field or
-its spectrum and returns the same kind (`fields.like`); `divergence` always
-returns real samples.  The Leray and Stokes projections are implemented as
-genuinely different computations (direct orthogonal projection vs. solving
-the filtered pressure problem) so their agreement on the torus can be used
-as a cross-check rather than a tautology.
+its spectrum and returns the same kind (`fields.like`).  The Leray and Stokes
+projections are implemented as genuinely different computations (direct
+orthogonal projection vs. solving the filtered pressure problem) so their
+agreement on the torus can be used as a cross-check rather than a tautology.
 """
 
 import numpy as np
 
 from .errors import GridMismatchError
-from .fields import SpectralField, like, to_real, to_spectral
+from .fields import like, to_spectral
 from .grid import kmag, ksq, ksq_safe, wavevectors
 
 
@@ -31,17 +30,6 @@ def lambda_power(f, a):
     return like(f, to_spectral(f).coeffs * kmag(f.grid) ** float(a))
 
 
-def divergence(f):
-    """Scalar divergence of a velocity field, returned as a 1-component field."""
-    grid = f.grid
-    if f.ncomp != grid.n:
-        raise GridMismatchError("divergence needs one component per axis")
-    kv = wavevectors(grid)
-    coeffs = to_spectral(f).coeffs
-    div_hat = np.sum(1j * kv * coeffs, axis=0, keepdims=True)
-    return to_real(SpectralField(grid, div_hat))
-
-
 def leray_project(f):
     """Orthogonal projection onto divergence-free fields:
     u_hat(k) <- u_hat(k) - k (k.u_hat) / |k|^2, mean mode untouched."""
@@ -51,11 +39,7 @@ def leray_project(f):
         raise GridMismatchError("projection needs one component per axis")
     kv = wavevectors(grid)
     kdotu = np.sum(kv * F.coeffs, axis=0)
-    proj = F.coeffs - kv * (kdotu / ksq_safe(grid))[None, ...]
-    # k = 0: kdotu is 0 there only by cancellation; restore explicitly
-    zero = (slice(None),) + (0,) * grid.n
-    proj[zero] = F.coeffs[zero]
-    return like(f, proj)
+    return like(f, F.coeffs - kv * (kdotu / ksq_safe(grid))[None, ...])
 
 
 def stokes_project(f, alpha):
@@ -75,7 +59,6 @@ def stokes_project(f, alpha):
     helm = 1.0 + a2 * ksq(grid)
     # div of (1 - a^2 Lap) w = 0 forces q_hat = -i (1 + a^2|k|^2)(k.w_hat)/|k|^2
     q_hat = -1j * helm * np.einsum("c...,c...->...", kv, F.coeffs) / ksq_safe(grid)
-    q_hat[(0,) * grid.n] = 0.0
     out = np.multiply(kv, 1j * q_hat)
     out /= helm
     return like(f, np.subtract(F.coeffs, out, out=out))

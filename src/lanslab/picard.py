@@ -26,7 +26,7 @@ pass before the first sweep.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -98,18 +98,7 @@ class PicardReport:
     membership_ok: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "converged": self.converged,
-            "iterates": self.iterates,
-            "residuals": list(map(float, self.residuals)),
-            "contraction_ratios": list(map(float, self.contraction_ratios)),
-            "ball_radius": float(self.ball_radius),
-            "horizon": float(self.horizon),
-            "weight_a": float(self.weight_a),
-            "indices": self.indices,
-            "membership": list(map(float, self.membership)),
-            "membership_ok": list(map(bool, self.membership_ok)),
-        }
+        return asdict(self)
 
 
 _RESIDUAL_BAIL = 1e8
@@ -117,6 +106,9 @@ _RESIDUAL_BAIL = 1e8
 
 def picard_solve(u0, cfg):
     """Iterate the mild-formulation map to a fixed point on [0, cfg.T].
+
+    u0 is taken as given, divergence-free as every `InitialSpec` kind is;
+    unlike `solve_ivp`, this does not project it.
 
     Returns (Trajectory, PicardReport); `converged` is False when the
     residual fails to fall below cfg.picard.tol within cfg.picard.max_iter
@@ -202,8 +194,8 @@ def picard_solve(u0, cfg):
         iterates=sweeps,
         residuals=residuals,
         contraction_ratios=ratios,
-        ball_radius=ball,
-        horizon=cfg.T,
+        ball_radius=float(ball),
+        horizon=float(cfg.T),
         weight_a=a,
         indices={"r": bz.r, "s": bz.s, "p": bz.p, "p_tilde": bz.p_tilde, "q": bz.q},
         membership=membership,

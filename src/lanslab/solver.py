@@ -21,10 +21,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import _fft
-from .dynamics import _slabs, _stress_product
+from .dynamics import _slabs, _stress_filter, _stress_product
 from .errors import BlowUpError, ConfigError
 from .fields import VectorField, taylor_green, zero_field
-from .grid import Grid
+from .grid import Grid, dealias_mask, ksq, ksq_safe
 from .operators import leray_project
 
 # Lower bounds of the config values, by dotted key, as configs/schema.json
@@ -141,6 +141,8 @@ class SolverConfig:
         except ValueError as exc:
             raise ConfigError(f"config key 'N': {exc}") from exc
         _check_bounds(self, "")
+        if not math.isfinite(float(self.alpha) * self.alpha):
+            raise ConfigError(f"config key 'alpha': need a finite alpha^2, got {self.alpha!r}")
         j_max = grid.max_dyadic_index
         if self.initial.kind == "random_band" and self.initial.j > j_max:
             raise ConfigError(
@@ -263,20 +265,15 @@ class SpectralStepper:
         mesh = np.meshgrid(*axes, indexing="ij")
         self.kv = np.stack(mesh)
         self.ik = 1j * self.kv
-        k2 = np.sum(self.kv**2, axis=0)
-        k2_safe = k2.copy()
-        k2_safe[(0,) * n] = 1.0
-        self.kv_k2 = self.kv / k2_safe  # k/|k|^2, zero at k = 0
+        half = np.s_[..., : N // 2 + 1]  # the half spectrum of a library table
+        k2 = ksq(grid)[half]
+        self.kv_k2 = self.kv / ksq_safe(grid)[half]  # k/|k|^2, zero at k = 0
         helm = 1.0 + self.alpha**2 * k2
-        # Flat indices of the modes inside the 2/3 dealiasing mask
-        # |k_i| <= N/3.  The kernel's output is zero off the mask, so its
-        # spectral tail works on these modes alone, with its tables
-        # restricted to them.
-        self.kept = np.flatnonzero(np.all(np.abs(self.kv) <= N // 3, axis=0))
-        # i k alpha^2/Helmholtz: the divergence of tau_hat from the
-        # transformed stress product.  The 1/2 of Def = (J + J^T)/2 is
-        # folded in, since the kernel forms J + J^T.
-        ik_tau = self.ik * (self.alpha**2 / (2.0 * helm))
+        # The kernel's output is zero off the 2/3 rule's modes: its spectral
+        # tail works on their half spectrum alone, its tables restricted to them.
+        self.kept = np.flatnonzero(dealias_mask(grid)[half])
+        # the divergence of tau_hat from the transformed stress product
+        ik_tau = self.ik * _stress_filter(self.alpha**2, k2)
         self.kept_tables = tuple(
             t.reshape(n, -1)[:, self.kept].astype(complex) for t in (self.kv, self.kv_k2, ik_tau)
         )
@@ -392,6 +389,7 @@ class SpectralStepper:
 def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     """Integrate the filtered dynamics from u0 over [0, cfg.T].
 
+    u0 is Leray-projected once, on the stepper's half spectrum.
     Returns a Trajectory whose `series` dict carries per-step scalars
     (t, energy, l2, grad_l2, div_residual) and, when besov_stride > 0,
     subsampled Besov norms in the configured base and critical spaces.
@@ -406,7 +404,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     nsteps = max(1, int(round(cfg.T / cfg.dt)))
     dt = cfg.T / nsteps
     stepper = SpectralStepper(grid, cfg.alpha, cfg.nu, dt)
-    state = stepper.project(stepper.to_state(leray_project(u0)))
+    state = stepper.project(stepper.to_state(u0))
     if sample_stride is None:
         sample_stride = max(1, nsteps // 100)
 

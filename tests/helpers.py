@@ -2,9 +2,16 @@
 
 import numpy as np
 
-from lanslab.fields import VectorField, l2_norm, spectral_mask_noise
-from lanslab.grid import kmag
-from lanslab.operators import divergence
+from lanslab.errors import GridMismatchError
+from lanslab.fields import (
+    SpectralField,
+    VectorField,
+    l2_norm,
+    spectral_mask_noise,
+    to_real,
+    to_spectral,
+)
+from lanslab.grid import kmag, wavevectors
 
 
 def constant_field(grid, values):
@@ -21,6 +28,17 @@ def random_low_pass(grid, kmax, seed, ncomp=1):
     km = kmag(grid)
     mask = (km <= float(kmax)) & (km > 0)
     return spectral_mask_noise(grid, mask, seed, ncomp)
+
+
+def divergence(f):
+    """Scalar divergence of a velocity field, returned as a 1-component field."""
+    grid = f.grid
+    if f.ncomp != grid.n:
+        raise GridMismatchError("divergence needs one component per axis")
+    kv = wavevectors(grid)
+    coeffs = to_spectral(f).coeffs
+    div_hat = np.sum(1j * kv * coeffs, axis=0, keepdims=True)
+    return to_real(SpectralField(grid, div_hat))
 
 
 def div_l2_residual(f):

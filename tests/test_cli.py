@@ -195,6 +195,38 @@ def test_verify_parameter_gate_rejection_exit5(tmp_path):
     assert "r > 2" in entry["condition"]
 
 
+@pytest.mark.parametrize(
+    "cid, params, condition",
+    [
+        ("duhamel_lsigma", {"sigma0": 0}, "sigma0 > 1"),
+        ("duhamel_bc", {"s1": 0}, "sigma >= 1"),
+        ("v_alpha_ct", {"a": 1e300}, "2a < 1"),
+        ("bernstein", {"order": 1e300}, "log2(N) < 1024"),
+    ],
+)
+def test_validity_gate_precedes_its_arithmetic(tmp_path, cid, params, condition):
+    # each raised ZeroDivisionError, ValueError or OverflowError (exit 1)
+    entry = {"id": cid, "params": {"n": 2, "N": 8, "trials": 1, **params}}
+    spath = tmp_path / "suite.json"
+    spath.write_text(json.dumps({"checks": [entry]}))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(spath), "--out", str(out)]) == 5
+    (record,) = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert record["status"] == "rejected" and condition in record["condition"]
+
+
+def test_verify_times_each_entry(tmp_path):
+    # a repeated check id kept only its last timing
+    suite = {"checks": [{"id": "k2_tail", "params": {"r": r}} for r in (2.5, 1.5, 2.5)]}
+    spath = tmp_path / "suite.json"
+    spath.write_text(json.dumps(suite))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(spath), "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+    assert sorted(timings) == ["checks[0] k2_tail", "checks[1] k2_tail", "checks[2] k2_tail",
+                               "total"]
+
+
 def test_sweep_single_value_matches_solve(tmp_path):
     cfg = write_cfg(tmp_path)
     out_sweep = tmp_path / "sweep"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import div_l2_residual
+from helpers import div_l2_residual, divergence
 from lanslab.dyadic import build_dyadic_family
 from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence, semigroup_apply
 from lanslab.fields import (
@@ -21,7 +21,6 @@ from lanslab.fields import (
 )
 from lanslab.grid import Grid, ksq, ksq_safe, wavevectors
 from lanslab.operators import (
-    divergence,
     helmholtz_inverse,
     lambda_power,
     leray_project,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lanslab.checks import check_parameters, parse_params
+from lanslab.checks import CHECKS, check_parameters, parse_params
 from lanslab.cli import main
 from lanslab.errors import ConfigError
 from lanslab.solver import SolverConfig, config_from_dict
@@ -121,6 +121,13 @@ RANGE_PROBES = {
     "heat_smoothing_sub_one_q": ("heat_smoothing", "q", 0.5, "at least 1"),
     "gamma_ct_zero_horizon": ("gamma_ct", "T", 0, "positive"),
     "bernstein_negative_seed": ("bernstein", "seed", -5, "at least 0"),
+    "heat_smoothing_no_positive_time": ("heat_smoothing", "t_grid", [0.0], "one of them positive"),
+    "v_alpha_ct_negative_weight": ("v_alpha_ct", "a", -1, "at least 0"),
+    "tau_negative_alpha": ("tau", "alpha", -1, "at least 0"),
+    # alpha^2 overflows: each raised OverflowError
+    **{f"{cid}_overflowing_alpha": (cid, "alpha", 1e300, "a finite square")
+       for cid in ("tau", "v_alpha_ct", "energy_monotone", "gronwall_differential",
+                   "apriori_bound")},
 }
 
 
@@ -133,6 +140,33 @@ def test_out_of_range_parameter_exit2(tmp_path, capsys, case):
     for text in ("checks[0]", cid, f"'{key}'", requirement):
         assert text in err
     assert not out.exists()
+
+
+# Every int and float parameter of every check at 0 and -1, and a float at
+# 1e300, on a small base: each case ends in a report (exit 0 or 5), a
+# rejected record (5), a blow-up (3) or exit 2, never in a traceback.  The
+# run horizon T is left out: its step count is a resource limit.
+PROBE_BASE = {"n": 2, "N": 8, "trials": 1, "pairs": 1, "T": 0.02, "dt": 0.01, "r": 2.5}
+PARAMETER_PROBES = sorted(
+    (cid, key, value)
+    for cid in CHECKS
+    for key, (kind, _) in check_parameters(cid).items()
+    if kind in (int, float) and key != "T"
+    for value in ((0, -1) if kind is int else (0.0, -1.0, 1e300))
+)
+
+
+# A 1e300 exponent overflows numpy powers to inf, which a report reads as a
+# failing ratio; those RuntimeWarnings are the probe's, not a finding.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cid, key, value", PARAMETER_PROBES)
+def test_parameter_probe_ends_in_an_exit_code(tmp_path, cid, key, value):
+    spec = check_parameters(cid)
+    params = {k: v for k, v in PROBE_BASE.items() if k in spec}
+    suite = {"checks": [{"id": cid, "params": {**params, key: value}}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) in {0, 2, 3, 5}
 
 
 # Python's json reads NaN and Infinity, 1e999 as inf and an integer of any
@@ -396,6 +430,8 @@ BOUND_PROBES = {
     "sub_one_besov_p": ("solve", {"besov": {"p": 0.5}}, "besov.p"),
     "negative_band_unused": ("solve", {"initial": {"kind": "taylor_green", "j": -1}}, "initial.j"),
     "negative_ball_radius": ("picard", {"picard": {"ball_radius": -1}}, "picard.ball_radius"),
+    "solve_overflowing_alpha": ("solve", {"alpha": 1e300}, "alpha"),
+    "picard_overflowing_alpha": ("picard", {"alpha": 1e300}, "alpha"),
 }
 
 

@@ -9,7 +9,7 @@ from lanslab import _fft
 from lanslab.dynamics import nonlinearity_V, semigroup_apply
 from lanslab.errors import BlowUpError, ConfigError
 from lanslab.fields import VectorField, l2_norm, random_divergence_free, taylor_green, zero_field
-from lanslab.grid import Grid
+from lanslab.grid import Grid, coordinates
 from helpers import div_l2_residual
 from lanslab.operators import leray_project
 from lanslab.solver import (
@@ -143,6 +143,24 @@ def test_besov_series_recorded():
     assert "besov_base" in traj.series
     assert len(traj.series["besov_t"]) >= 2
     assert np.all(traj.series["besov_base"] > 0)
+
+
+def test_solve_projects_its_initial_data_once():
+    cfg = small_cfg(T=0.02, dt=5e-3)
+    grid = cfg.grid
+    x, y, z = coordinates(grid)
+    # grad of sin(x) cos(2y) sin(z): curl-free, so the projection removes it
+    grad = np.stack([np.cos(x) * np.cos(2 * y) * np.sin(z),
+                     -2 * np.sin(x) * np.sin(2 * y) * np.sin(z),
+                     np.sin(x) * np.cos(2 * y) * np.cos(z)])
+    u0 = taylor_green(grid, 0.5) + VectorField(grid, 0.3 * grad)
+    assert div_l2_residual(u0) > 0.1
+    traj = solve_ivp(u0, cfg, sample_stride=1)
+    want = solve_ivp(leray_project(u0), cfg, sample_stride=1)
+    assert traj.series["div_residual"][0] <= 1e-12
+    scale = max(np.max(np.abs(f.data)) for f in want.fields)
+    for got, expected in zip(traj.fields, want.fields):
+        assert np.max(np.abs(got.data - expected.data)) <= 1e-13 * scale
 
 
 class _SlowKernel:

@@ -18,7 +18,7 @@ from lanslab.grid import Grid
 from lanslab.operators import stokes_project
 from lanslab.picard import picard_solve
 from lanslab.quadrature import duhamel_apply
-from lanslab.solver import InitialSpec, PicardParams, SolverConfig, Trajectory
+from lanslab.solver import InitialSpec, PicardParams, SolverConfig, Trajectory, solve_ivp
 
 GRID = Grid(3, 32)
 NPTS = GRID.npoints
@@ -130,6 +130,16 @@ def test_duhamel_apply_transforms_each_sample_and_output_once(monkeypatch):
     # S = 9 forward and K = 5 inverse transforms; one call per output time
     # used to re-transform every sample
     assert calls == {"fftn": 9, "ifftn": 5}
+
+
+def test_solve_makes_no_c2c_transform(counted):
+    # the stepper's half-spectrum projection is the one a solve makes; a
+    # full-spectrum leray_project in front of it took 2 c2c transforms
+    cfg = SolverConfig(n=3, N=16, T=0.01, dt=5e-3)
+    u0 = cfg.initial_field()
+    counted.clear()
+    solve_ivp(u0, cfg, sample_stride=0, besov_stride=0)
+    assert counted == []
 
 
 def test_picard_trajectory_norms_are_memoized(counted):
