@@ -1,9 +1,17 @@
-"""Thin wrappers around scipy.fft with a process-wide worker count, and
-the one owner of lanslab's coefficient convention: forward transforms
-return u_hat(k) = N^-n sum_x u(x) e^{-i k.x} (u_hat(0) is the mean) and
-inverse transforms the plain Fourier sum u(x) = sum_k u_hat(k) e^{i k.x},
-so no caller rescales by N^n.  That is scipy's norm="forward"; N^n is a
-power of two, so u_hat is bitwise the unnormalised transform over N^n.
+"""lanslab's four transforms, made by scipy's compiled pocketfft
+extension with a process-wide worker count, and the one owner of
+lanslab's coefficient convention: forward transforms return
+u_hat(k) = N^-n sum_x u(x) e^{-i k.x} (u_hat(0) is the mean) and inverse
+transforms the plain Fourier sum u(x) = sum_k u_hat(k) e^{i k.x}, so no
+caller rescales by N^n.  That is scipy's norm="forward"; N^n is a power of
+two, so u_hat is bitwise the unnormalised transform over N^n.
+
+The extension (`scipy/fft/_pocketfft/pypocketfft*.so`) is loaded from its
+file, not through `import scipy.fft`, whose Python layer (array-API
+dispatch, scipy.special through fftlog) is most of lanslab's start-up and
+none of its work.  Each wrapper makes the `c2c`, `r2c` or `c2r` call that
+scipy.fft's `fftn`, `ifftn`, `rfftn` or `irfftn` makes for the same
+arguments, so results are bitwise scipy.fft's.
 
 All transforms act on the trailing spatial axes so leading axes batch
 components and dyadic blocks in a single call.  The worker count is a
@@ -13,13 +21,42 @@ Below the wrappers is the pairing rule that puts two real fields in one
 c2c transform; it transforms nothing itself.
 """
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import ConfigError
 
+# The extension's own name, so that a later `import scipy.fft` finds this
+# module in sys.modules and reuses it instead of initialising it again.
+_PFFT_NAME = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    if _PFFT_NAME in sys.modules:
+        return sys.modules[_PFFT_NAME]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("lanslab needs scipy for its pocketfft extension; scipy is not installed")
+    where = Path(scipy_spec.submodule_search_locations[0]) / "fft" / "_pocketfft"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = where / ("pypocketfft" + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"scipy's pocketfft extension (pypocketfft*.so) is not in {where}")
+    spec = importlib.util.spec_from_file_location(_PFFT_NAME, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_PFFT_NAME] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_pfft = _load_pocketfft()
 _workers = 1
 
 
@@ -51,20 +88,33 @@ def workers_from_env():
     return workers
 
 
+# pocketfft's normalisation codes for norm="forward": the forward
+# transform scales by 1/N^n (code 2), the inverse not at all (code 0).
+_FORWARD, _INVERSE = 2, 0
+
+
+def _axes(a, nax):
+    return tuple(range(a.ndim - nax, a.ndim))
+
+
 def fftn(a, nax, *, overwrite=False):
-    return _sfft.fftn(a, axes=range(-nax, 0), norm="forward", overwrite_x=overwrite, workers=_workers)
+    out = a if overwrite and a.dtype.kind == "c" else None
+    return _pfft.c2c(a, _axes(a, nax), True, _FORWARD, out, _workers)
 
 
 def ifftn(a, nax, *, overwrite=False):
-    return _sfft.ifftn(a, axes=range(-nax, 0), norm="forward", overwrite_x=overwrite, workers=_workers)
+    out = a if overwrite and a.dtype.kind == "c" else None
+    return _pfft.c2c(a, _axes(a, nax), False, _INVERSE, out, _workers)
 
 
 def rfftn(a, nax):
-    return _sfft.rfftn(a, axes=range(-nax, 0), norm="forward", workers=_workers)
+    return _pfft.r2c(a, _axes(a, nax), True, _FORWARD, None, _workers)
 
 
 def irfftn(a, shape):
-    return _sfft.irfftn(a, s=shape, axes=range(-len(shape), 0), norm="forward", workers=_workers)
+    """The real fields on the grid `shape` whose half spectra are `a`;
+    the leading extents of `shape` are those of a's trailing axes."""
+    return _pfft.c2r(a, _axes(a, len(shape)), shape[-1], False, _INVERSE, None, _workers)
 
 
 # Two real fields per c2c transform (Press et al., Numerical Recipes,

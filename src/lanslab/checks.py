@@ -84,10 +84,16 @@ class CheckReport:
         return record
 
 
+def _worst(ratios):
+    """The largest ratio, 0 for none and NaN if any is NaN (Python's max
+    skips a NaN unless it comes first)."""
+    return math.nan if any(math.isnan(r) for r in ratios) else max(ratios, default=0.0)
+
+
 def _ratio_report(ensemble, ratios, ok=True, **details):
     """The report of an ensemble of ratios: its empirical constant is the
-    largest ratio (0 for none), and it passes when that is finite and `ok`."""
-    worst = max(ratios, default=0.0)
+    largest ratio (`_worst`), and it passes when that is finite and `ok`."""
+    worst = _worst(ratios)
     return CheckReport(ensemble, ratios, worst, math.isfinite(worst) and bool(ok), details)
 
 
@@ -293,8 +299,8 @@ def check_embedding(
             fam.besov_norm(f, BesovIndex(gamma2, p2, q1))
             / fam.besov_norm(f, BesovIndex(gamma1, p1, q1))
         )
-    lp_max, integrability_max = max(ratios_lp), max(ratios_integrability)
-    worst = max(max(ratios_smooth), lp_max, integrability_max)
+    lp_max, integrability_max = _worst(ratios_lp), _worst(ratios_integrability)
+    worst = _worst(ratios_smooth + ratios_lp + ratios_integrability)
     return CheckReport(
         trials,
         ratios_smooth,
@@ -805,6 +811,16 @@ def _at_least_1(v, grid):
     return v >= 1, "at least 1"
 
 
+def _smoothness(v, grid):
+    # The Besov weights 2^{s j}, j <= j_max, with one level to spare, stay
+    # finite, as the bernstein gate keeps 2^{j order} finite.
+    if grid is None:  # k2_tail's r: its sum of 2^{k(2 - r)} stops at k_max
+        return True, ""
+    j_max = grid.max_dyadic_index
+    requirement = f"a smoothness index with |s| (j_max + 1) < 1024, j_max = {j_max}"
+    return abs(v) * (j_max + 1) < 1024, requirement
+
+
 # Ranges of well-typed parameters, by name: (value, grid) -> (in range,
 # requirement); grid is None for a check without one.  A None value (the
 # check's default) is not checked.
@@ -817,6 +833,7 @@ _RANGES = {
         _at_least_1,
     ),
     **dict.fromkeys(("order", "seed", "a"), lambda v, grid: (v >= 0, "at least 0")),
+    **dict.fromkeys(("s", "s0", "s1", "beta1", "beta2", "gamma2", "r"), _smoothness),
     "k_max": lambda v, grid: (v >= 3, "at least 3"),
     "alpha": lambda v, grid: (v >= 0 and math.isfinite(v * v), "at least 0, with a finite square"),
     "T": lambda v, grid: (v > 0, "positive"),

@@ -8,7 +8,8 @@ sample grid by `_simpson`: the composite Simpson rule for irregular
 spacing, with Cartwright's correction on the last interval when the
 sample count is even and the trapezoid at two samples.  That is the rule
 of scipy's `simpson` since SciPy 1.11, bitwise, kept here so results do
-not depend on the installed scipy and lanslab loads only scipy.fft.
+not depend on the installed scipy and lanslab loads no scipy module but
+its pocketfft extension (`lanslab._fft`).
 
 The per-field block norms are memoized on each field (`DyadicFamily.
 block_lp_norms`), so a second functional at the same p transforms nothing.

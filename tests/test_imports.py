@@ -1,6 +1,7 @@
-"""Importing lanslab loads no part of scipy beyond scipy.fft, and `_fft`
-is the one module that transforms: the owner of the coefficient convention
-and the binding site every transform goes through."""
+"""Importing lanslab loads one module of scipy, its compiled pocketfft
+extension, and none of scipy.fft's Python layer; `_fft` is the one module
+that transforms: the owner of the coefficient convention and the binding
+site every transform goes through."""
 
 import ast
 import os
@@ -22,16 +23,26 @@ print(sorted(m for m in set(sys.modules) - baseline if m.split(".")[0] == "scipy
 """
 
 
-def test_every_module_adds_no_scipy_module_beyond_fft():
+def _probe(source):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", source],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_every_module_adds_no_scipy_module_beyond_fft():
+    assert _probe(PROBE) == "[]"
+
+
+def test_fresh_import_loads_only_the_pocketfft_extension_of_scipy():
+    source = PROBE.replace("import scipy.fft\n", "")
+    assert "scipy.fft" not in source
+    assert _probe(source) == "['scipy.fft._pocketfft.pypocketfft']"
 
 
 # numpy/scipy names a module other than `_fft` may use from an fft namespace

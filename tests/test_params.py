@@ -8,6 +8,7 @@ and never a silently applied default.
 import copy
 import dataclasses
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -128,6 +129,13 @@ RANGE_PROBES = {
     **{f"{cid}_overflowing_alpha": (cid, "alpha", 1e300, "a finite square")
        for cid in ("tau", "v_alpha_ct", "energy_monotone", "gronwall_differential",
                    "apriori_bound")},
+    # 2^{s j} overflows: a norm read inf, its ratio 0, and each passed (exit 0)
+    **{f"{cid}_overflowing_{key}": (cid, key, value, "|s| (j_max + 1) < 1024")
+       for cid, key, value in [
+           ("embedding", "beta2", 1e300), ("embedding", "s", 1e300),
+           ("embedding", "gamma2", -1e300), ("heat_smoothing", "s0", -1e300),
+           ("gamma_ct", "s0", -1e300),
+       ]},
 }
 
 
@@ -140,6 +148,39 @@ def test_out_of_range_parameter_exit2(tmp_path, capsys, case):
     for text in ("checks[0]", cid, f"'{key}'", requirement):
         assert text in err
     assert not out.exists()
+
+
+def test_smoothness_bound_is_the_grid_s_last_finite_weight():
+    # N=16: j_max = 2, so |s| < 1024/3 = 341.33...
+    for key in ("s", "beta1", "beta2", "gamma2"):
+        parse_params("embedding", {"n": 2, "N": 16, key: 341.0})
+        with pytest.raises(ConfigError, match=f"'{key}' must be a smoothness index.*j_max = 2"):
+            parse_params("embedding", {"n": 2, "N": 16, key: -341.5})
+    parse_params("k2_tail", {"r": 1e300})  # no grid: its sum stops at k_max
+
+
+# A NaN ratio behind a finite one: Python's max skipped it and each passed
+# (exit 0).  gamma2 = 1e300 gave the same NaN; it is now a range error.
+NAN_PROBES = {
+    "bony_bounds_huge_p": ("bony_bounds", {"pairs": 1, "p": 1e300}),
+    "embedding_huge_exponents": ("embedding", {"trials": 1, "emb_p1": 1e300, "emb_p2": 1e300}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(NAN_PROBES))
+def test_nan_ratio_fails_the_report_with_nan_constant(tmp_path, capsys, case):
+    cid, params = NAN_PROBES[case]
+    suite = {"checks": [{"id": cid, "params": {"n": 2, "N": 8, **params}}]}
+    code, _, out = _run(tmp_path, "verify", suite, capsys)
+    assert code == 5
+    record = json.loads((out / "verify_report.json").read_text())["checks"][0]
+    assert record["pass"] is False and math.isnan(record["max_ratio"])
+    if cid == "bony_bounds":
+        assert not math.isnan(record["ratios"][0]) and any(map(math.isnan, record["ratios"]))
+    else:
+        assert math.isnan(record["details"]["integrability_max"])
+        assert not math.isnan(record["ratios"][0])
 
 
 # Every int and float parameter of every check at 0 and -1, and a float at
