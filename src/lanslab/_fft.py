@@ -9,20 +9,30 @@ two, so u_hat is bitwise the unnormalised transform over N^n.
 The extension (`scipy/fft/_pocketfft/pypocketfft*.so`) is loaded from its
 file, not through `import scipy.fft`, whose Python layer (array-API
 dispatch, scipy.special through fftlog) is most of lanslab's start-up and
-none of its work.  Each wrapper makes the `c2c`, `r2c` or `c2r` call that
-scipy.fft's `fftn`, `ifftn`, `rfftn` or `irfftn` makes for the same
-arguments, so results are bitwise scipy.fft's.
+none of its work.  `fftn` and `ifftn` make the `c2c` call that scipy.fft's
+functions of that name make for the same arguments, so results are
+bitwise scipy.fft's.
 
 All transforms act on the trailing spatial axes so leading axes batch
 components and dyadic blocks in a single call.  The worker count is a
 performance knob only; results are bitwise independent of it.
 `overwrite=True` lets a c2c transform reuse its complex input's buffer.
+
+The real transforms live on the 2/3 rule's cube |k_i| <= N//3 (Orszag
+1971): `rfftn` returns the spectrum there and `irfftn` takes it, zero
+beyond.  The cube holds 2 (N//3) + 1 modes in fft order (k = 0..N//3, then
+-N//3..-1) along each full axis and N//3 + 1 along the last.  One r2c (c2r)
+pass runs along the last axis and c2c passes only on the lines that reach
+the cube or carry data (FFT pruning, Markel 1971).  Each forward pass scales
+by its own 1/n, exactly as N is a power of two, so results are bitwise
+scipy.fft's `rfftn` on the cube, or `irfftn` of the zero-padded cube.
 Below the wrappers is the pairing rule that puts two real fields in one
 c2c transform; it transforms nothing itself.
 """
 
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -108,13 +118,36 @@ def ifftn(a, nax, *, overwrite=False):
 
 
 def rfftn(a, nax):
-    return _pfft.r2c(a, _axes(a, nax), True, _FORWARD, None, _workers)
+    """The spectra of the real fields `a` on the cube of their trailing
+    `nax` axes."""
+    first, kc = a.ndim - nax, a.shape[-1] // 3
+    ends = (np.s_[: kc + 1], np.s_[-kc:])  # k = 0..kc and -kc..-1, in lattice and cube alike
+    half = _pfft.r2c(a, (a.ndim - 1,), True, _FORWARD, None, _workers)[..., : kc + 1]
+    for i in range(nax - 1):  # along axis first + i, the cube's lines of the axes before it
+        for before in itertools.product(ends, repeat=i):
+            view = half[(..., *before) + (slice(None),) * (nax - i)]
+            _pfft.c2c(view, (first + i,), True, _FORWARD, view, _workers)
+    out = np.empty(a.shape[:first] + (2 * kc + 1,) * (nax - 1) + (kc + 1,), complex)
+    for block in itertools.product(ends, repeat=nax - 1):
+        out[(..., *block, slice(None))] = half[(..., *block, slice(None))]
+    return out
 
 
 def irfftn(a, shape):
-    """The real fields on the grid `shape` whose half spectra are `a`;
-    the leading extents of `shape` are those of a's trailing axes."""
-    return _pfft.c2r(a, _axes(a, len(shape)), shape[-1], False, _INVERSE, None, _workers)
+    """The real fields on the grid `shape` whose spectra on its cube are
+    `a`; the leading extents of `shape` are those of a's trailing axes."""
+    nax, N = len(shape), shape[-1]
+    first, kc = a.ndim - nax, N // 3
+    ends = (np.s_[: kc + 1], np.s_[-kc:])
+    full = np.zeros(a.shape[:first] + shape[:-1] + (N // 2 + 1,), complex)
+    half = full[..., : kc + 1]
+    for block in itertools.product(ends, repeat=nax - 1):
+        half[(..., *block, slice(None))] = a[(..., *block, slice(None))]
+    for i in range(nax - 1):  # along axis first + i, the lines that carry data
+        for after in itertools.product(ends, repeat=nax - 2 - i):
+            view = half[(...,) + (slice(None),) * (i + 1) + after + (slice(None),)]
+            _pfft.c2c(view, (first + i,), False, _INVERSE, view, _workers)
+    return _pfft.c2r(full, (full.ndim - 1,), N, False, _INVERSE, None, _workers)
 
 
 # Two real fields per c2c transform (Press et al., Numerical Recipes,

@@ -49,7 +49,7 @@ from .grid import Grid, kmag, ksq
 from .operators import lambda_power
 from .paraproduct import block_bound_rhs, decompose_product_block, product_terms
 from .quadrature import duhamel_apply, duhamel_on_nodes, make_time_grid
-from .solver import InitialSpec, SolverConfig, Trajectory, expect_type, solve_ivp
+from .solver import InitialSpec, SolverConfig, Trajectory, _smoothness, expect_type, solve_ivp
 from .timenorms import _simpson, ct_norm, lsigma_norm
 
 
@@ -809,16 +809,6 @@ def _dyadic_index(v, grid):
 
 def _at_least_1(v, grid):
     return v >= 1, "at least 1"
-
-
-def _smoothness(v, grid):
-    # The Besov weights 2^{s j}, j <= j_max, with one level to spare, stay
-    # finite, as the bernstein gate keeps 2^{j order} finite.
-    if grid is None:  # k2_tail's r: its sum of 2^{k(2 - r)} stops at k_max
-        return True, ""
-    j_max = grid.max_dyadic_index
-    requirement = f"a smoothness index with |s| (j_max + 1) < 1024, j_max = {j_max}"
-    return abs(v) * (j_max + 1) < 1024, requirement
 
 
 # Ranges of well-typed parameters, by name: (value, grid) -> (in range,

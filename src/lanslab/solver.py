@@ -9,8 +9,8 @@ exactly through e^{-nu |k|^2 dt} multipliers and only the dealiased
 nonlinearity is advanced by the Runge-Kutta stages, giving fourth-order
 accuracy on the nonlinear term.  States stay divergence-free to round-off
 because every stage is Leray-projected in spectral space.  The state is
-the half spectrum `_fft.rfftn` returns, in the coefficient convention of
-`_fft`.
+the spectrum `_fft.rfftn` returns on the 2/3 rule's cube, in the
+coefficient convention of `_fft`; `to_state` drops the modes beyond it.
 """
 
 import math
@@ -24,7 +24,7 @@ from . import _fft
 from .dynamics import _slabs, _stress_filter, _stress_product
 from .errors import BlowUpError, ConfigError
 from .fields import VectorField, taylor_green, zero_field
-from .grid import Grid, dealias_mask, ksq, ksq_safe
+from .grid import Grid
 from .operators import leray_project
 
 # Lower bounds of the config values, by dotted key, as configs/schema.json
@@ -41,6 +41,16 @@ _LOWER_BOUNDS = {
     "picard.nodes_per_panel": (2, True),
     "picard.ball_radius": (0, False),
 }
+
+
+def _smoothness(v, grid):
+    # The Besov weights 2^{s j}, j <= j_max, with one level to spare, stay
+    # finite, as the bernstein gate keeps 2^{j order} finite.
+    if grid is None:  # k2_tail's r: its sum of 2^{k(2 - r)} stops at k_max
+        return True, ""
+    j_max = grid.max_dyadic_index
+    requirement = f"a smoothness index with |s| (j_max + 1) < 1024, j_max = {j_max}"
+    return abs(v) * (j_max + 1) < 1024, requirement
 
 
 def _check_bounds(section, prefix):
@@ -143,6 +153,10 @@ class SolverConfig:
         _check_bounds(self, "")
         if not math.isfinite(float(self.alpha) * self.alpha):
             raise ConfigError(f"config key 'alpha': need a finite alpha^2, got {self.alpha!r}")
+        for key, value in (("r", self.besov.r), ("s", self.besov.s)):
+            in_range, requirement = _smoothness(value, grid)
+            if not in_range:
+                raise ConfigError(f"config key 'besov.{key}' must be {requirement}, got {value!r}")
         j_max = grid.max_dyadic_index
         if self.initial.kind == "random_band" and self.initial.j > j_max:
             raise ConfigError(
@@ -251,40 +265,30 @@ class Trajectory:
 
 
 class SpectralStepper:
-    """Integrating-factor RK4 stepper in (real-input) spectral variables."""
+    """Integrating-factor RK4 stepper on the 2/3 rule's cube of modes, the
+    spectra `_fft.rfftn` returns."""
 
     def __init__(self, grid, alpha, nu, dt):
         self.grid = grid
         self.alpha = float(alpha)
         self.nu = float(nu)
         self.dt = float(dt)
-        n, N = grid.n, grid.N
-        kfull = np.fft.fftfreq(N, 1.0 / N)
-        khalf = np.arange(N // 2 + 1, dtype=float)
-        axes = [kfull] * (n - 1) + [khalf]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.kv = np.stack(mesh)
-        self.ik = 1j * self.kv
-        half = np.s_[..., : N // 2 + 1]  # the half spectrum of a library table
-        k2 = ksq(grid)[half]
-        self.kv_k2 = self.kv / ksq_safe(grid)[half]  # k/|k|^2, zero at k = 0
-        helm = 1.0 + self.alpha**2 * k2
-        # The kernel's output is zero off the 2/3 rule's modes: its spectral
-        # tail works on their half spectrum alone, its tables restricted to them.
-        self.kept = np.flatnonzero(dealias_mask(grid)[half])
-        # the divergence of tau_hat from the transformed stress product
-        ik_tau = self.ik * _stress_filter(self.alpha**2, k2)
-        self.kept_tables = tuple(
-            t.reshape(n, -1)[:, self.kept].astype(complex) for t in (self.kv, self.kv_k2, ik_tau)
-        )
-        # Parseval weights for the half spectrum, times 1, |k|^2 and the
-        # Helmholtz symbol for the L^2, gradient and energy diagnostics.
-        w = np.ones_like(k2)
-        kz = mesh[-1]
-        w[(kz > 0) & (kz < N // 2)] = 2.0
-        self.weights = np.stack([w, w * k2, w * helm])
+        n, kc = grid.n, grid.N // 3
+        k = np.r_[0 : kc + 1, -kc:0].astype(float)  # a full axis of the cube
+        mesh = np.meshgrid(*([k] * (n - 1) + [k[: kc + 1]]), indexing="ij")
+        kv = np.stack(mesh)
+        k2 = np.sum(kv**2, axis=0)
         # The multiplier tables are complex so that they scale complex
         # arrays without a per-call cast (the products are unchanged).
+        self.kv = kv.astype(complex)
+        self.ik = 1j * kv
+        self.kv_k2 = (kv / np.where(k2 > 0, k2, 1.0)).astype(complex)  # k/|k|^2, 0 at k = 0
+        # the divergence of tau_hat from the transformed stress product
+        self.ik_tau = self.ik * _stress_filter(self.alpha**2, k2)
+        # Parseval weights (2 where kz > 0 stands for +-k), times 1, |k|^2
+        # and the Helmholtz symbol for the L^2, gradient and energy diagnostics.
+        w = np.where(mesh[-1] > 0, 2.0, 1.0)
+        self.weights = np.stack([w, w * k2, w * (1.0 + self.alpha**2 * k2)])
         self.e_full = np.exp(-self.nu * k2 * self.dt).astype(complex)
         self.e_half = np.exp(-self.nu * k2 * self.dt / 2.0).astype(complex)
         self.shape = grid.shape
@@ -292,6 +296,7 @@ class SpectralStepper:
     # -- transforms between VectorField and the internal state ----------
 
     def to_state(self, u):
+        """u's spectrum on the cube: the modes beyond it are dropped on entry."""
         return _fft.rfftn(u.data, self.grid.n)
 
     def to_field(self, state):
@@ -320,18 +325,14 @@ class SpectralStepper:
         """-P[div(u (x) u) + div tau(u)] in spectral variables.
 
         The advective term is evaluated in convective form (u.grad)u, which
-        coincides with div(u (x) u) to round-off here: the state spectrum
-        lives inside the 2/3 mask, so products are alias-free after masking
-        and the state is exactly divergence-free.  One batch of n + n^2
-        inverse transforms gives u and J = grad u, one batch of forward
-        transforms the convective term and the stress product
-        (J + J^T)(J - J^T).
+        coincides with div(u (x) u) to round-off here: the state lives on
+        the 2/3 rule's cube, so products are alias-free on it, and the
+        state is exactly divergence-free.  One batch of n + n^2 inverse
+        transforms gives u and J = grad u, one batch of forward transforms
+        the convective term and the stress product (J + J^T)(J - J^T).
         """
         n, shape = self.grid.n, self.shape
         spec = state.shape[1:]
-        # The result outlives the temporaries below; allocated first, it does
-        # not pin the heap above them, so their memory can be given back.
-        out = np.zeros_like(state)
         grad = np.empty((n + n * n,) + spec, dtype=complex)
         grad[:n] = state
         np.multiply(self.ik[None], state[:, None], out=grad[n:].reshape((n, n) + spec))
@@ -349,18 +350,12 @@ class SpectralStepper:
         del phys, u, jac, J
         fwd = _fft.rfftn(flux, n)
         del flux, conv, prod
-        fwd = np.take(fwd.reshape(len(fwd), -1), self.kept, axis=1)
-        kv, kv_k2, ik_tau = self.kept_tables
         vhat = fwd[:n]
         if self.alpha > 0:
-            tau = fwd[n:].reshape(n, n, -1)
+            tau = fwd[n:].reshape((n, n) + spec)
             for j in range(n):
-                vhat += ik_tau[j] * tau[:, j]
-        # -P vhat = k (k.vhat)/|k|^2 - vhat, as in `project`
-        vhat = kv_k2 * np.einsum("ik,ik->k", kv, vhat) - vhat
-        for flat, row in zip(out.reshape(n, -1), vhat):  # row by row: faster than 2-D
-            flat[self.kept] = row
-        return out
+                vhat += self.ik_tau[j] * tau[:, j]
+        return -self.project(vhat)
 
     def step(self, state):
         dt, e1, e2 = self.dt, self.e_half, self.e_full
@@ -389,7 +384,7 @@ class SpectralStepper:
 def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     """Integrate the filtered dynamics from u0 over [0, cfg.T].
 
-    u0 is Leray-projected once, on the stepper's half spectrum.
+    u0 is Leray-projected once, on the stepper's cube.
     Returns a Trajectory whose `series` dict carries per-step scalars
     (t, energy, l2, grad_l2, div_residual) and, when besov_stride > 0,
     subsampled Besov norms in the configured base and critical spaces.

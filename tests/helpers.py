@@ -47,3 +47,25 @@ def div_l2_residual(f):
     if nrm == 0.0:
         return 0.0
     return l2_norm(divergence(f)) / nrm
+
+
+def cube_index(N, nax):
+    """`np.ix_` index of the 2/3 rule's cube |k_i| <= N//3 in a half
+    spectrum (or a lattice table) whose full axes have extent N."""
+    kc = N // 3
+    full = np.r_[0 : kc + 1, N - kc : N]
+    return np.ix_(*([full] * (nax - 1) + [np.arange(kc + 1)]))
+
+
+def cube_of(half, nax):
+    """The cube of the half spectra `half` (leading axes batch)."""
+    return half[(...,) + cube_index(half.shape[-2], nax)]
+
+
+def half_of(cube, shape):
+    """The half spectra on the grid `shape` equal to `cube` on the cube
+    and zero beyond it."""
+    nax, N = len(shape), shape[-1]
+    out = np.zeros(cube.shape[:-nax] + tuple(shape[:-1]) + (N // 2 + 1,), dtype=complex)
+    out[(...,) + cube_index(N, nax)] = cube
+    return out

@@ -1,6 +1,7 @@
 """`lanslab._fft` calls scipy's pocketfft extension directly; each wrapper
 is cross-checked bitwise against the scipy.fft function it stands for,
-with norm="forward", on the layouts lanslab transforms."""
+with norm="forward", on the layouts lanslab transforms: the c2c wrappers
+on the whole lattice, the real ones on the 2/3 rule's cube."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from helpers import cube_of, half_of
 from lanslab import _fft
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -70,15 +72,30 @@ def test_c2c_overwrite_reuses_the_input_buffer(n, N, workers):
 
 @pytest.mark.parametrize("n, N", SHAPES)
 def test_real_transforms_bitwise_equal_to_scipy_fft(n, N, workers):
+    # rfftn is scipy's on the cube, irfftn scipy's of the zero-padded cube
+    shape = (N,) * n
     for name, x in _layouts(n, N, False).items():
         kw = {"axes": _axes(n), "norm": "forward", "workers": workers}
-        half = _fft.rfftn(x, n)
-        assert np.array_equal(half, sfft.rfftn(x, **kw)), name
-        shape = (N,) * n
-        assert np.array_equal(_fft.irfftn(half, shape), sfft.irfftn(half, s=shape, **kw)), name
-        # a half spectrum that is itself a non-contiguous view
-        view = half[::-1]
-        assert np.array_equal(_fft.irfftn(view, shape), sfft.irfftn(view, s=shape, **kw)), name
+        cube = _fft.rfftn(x, n)
+        assert cube.shape == x.shape[:-n] + (2 * (N // 3) + 1,) * (n - 1) + (N // 3 + 1,)
+        assert np.array_equal(cube, cube_of(sfft.rfftn(x, **kw), n)), name
+        # the cube, and cubes that are non-contiguous views
+        strided = np.repeat(cube, 2, axis=-1)[..., ::2]
+        for view in (cube, cube[::-1], strided):
+            want = sfft.irfftn(half_of(view, shape), s=shape, **kw)
+            assert np.array_equal(_fft.irfftn(view, shape), want), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cube_transforms_leave_their_input_alone(n):
+    # their c2c passes run in place, on buffers of their own
+    x = np.random.default_rng(n).standard_normal((2,) + (32,) * n)
+    kept = x.copy()
+    cube = _fft.rfftn(x, n)
+    assert np.array_equal(x, kept)
+    kept = cube.copy()
+    _fft.irfftn(cube, x.shape[1:])
+    assert np.array_equal(cube, kept)
 
 
 IMPORT_ORDER_PROBE = """

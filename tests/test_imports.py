@@ -1,7 +1,8 @@
 """Importing lanslab loads one module of scipy, its compiled pocketfft
 extension, and none of scipy.fft's Python layer; `_fft` is the one module
 that transforms: the owner of the coefficient convention and the binding
-site every transform goes through."""
+site every transform goes through.  Inside `_fft` the extension is called
+only from the four transform functions, the spans the bench tracer sees."""
 
 import ast
 import os
@@ -133,3 +134,62 @@ e = fields.lp_norm(d, norm=2)
         "_fft.rfftn(norm=...)",
         "inverse(norm=...)",
     ])
+
+
+TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def untraced_pocketfft_uses(source, filename):
+    """Where `source` uses the pocketfft extension `_pfft` (a call, an
+    alias or an attribute of `_fft`) outside the functions `TRANSFORMS`:
+    a transform there would escape the bench tracer's `_fft` spans."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            uses = (isinstance(child, ast.Name) and child.id == "_pfft"
+                    and isinstance(child.ctx, ast.Load)) or (
+                isinstance(child, ast.Attribute) and child.attr == "_pfft")
+            if uses and function not in TRANSFORMS:
+                found.append(f"{filename}:{child.lineno}: _pfft in {function or 'module scope'}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(ast.parse(source, filename), None)
+    return found
+
+
+def test_pocketfft_is_called_only_by_the_four_transforms():
+    found = []
+    for path in sorted((SRC / "lanslab").glob("*.py")):
+        found += untraced_pocketfft_uses(path.read_text(), path.name)
+    assert found == []
+    assert "_pfft.c2c(view" in (SRC / "lanslab" / "_fft.py").read_text()
+
+
+def test_untraced_pocketfft_check_flags_each_kind_of_use():
+    source = """
+from . import _fft
+_pfft = _load()
+c2c = _pfft.c2c
+
+def _pass(view, axis):
+    return _pfft.c2c(view, (axis,), True, 2, view, 1)
+
+def rfftn(a, nax):
+    def inner(b):
+        return _pfft.r2c(b, (b.ndim - 1,), True, 2, None, 1)
+    return _pass(_pfft.r2c(a, (a.ndim - 1,), True, 2, None, 1), 0)
+
+def fftn(a, nax):
+    return _pfft.c2c(a, (0,), True, 2, None, 1)
+
+x = _fft._pfft.c2r
+"""
+    found = untraced_pocketfft_uses(source, "probe.py")
+    assert [line.split(": ", 1)[1] for line in found] == [
+        "_pfft in module scope",
+        "_pfft in _pass",
+        "_pfft in inner",
+        "_pfft in module scope",
+    ]

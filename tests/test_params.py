@@ -473,6 +473,10 @@ BOUND_PROBES = {
     "negative_ball_radius": ("picard", {"picard": {"ball_radius": -1}}, "picard.ball_radius"),
     "solve_overflowing_alpha": ("solve", {"alpha": 1e300}, "alpha"),
     "picard_overflowing_alpha": ("picard", {"alpha": 1e300}, "alpha"),
+    # 2^{s j} overflowed: exit 0 with inf in every Besov row
+    "solve_overflowing_besov_r": ("solve", {"besov": {"r": 1e300, "s": 1e300}}, "besov.r"),
+    "solve_overflowing_besov_s": ("solve", {"besov": {"s": -1e300}}, "besov.s"),
+    "picard_overflowing_besov_s": ("picard", {"besov": {"s": 1e300}}, "besov.s"),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from lanslab.dynamics import nonlinearity_V, semigroup_apply
 from lanslab.errors import BlowUpError, ConfigError
 from lanslab.fields import VectorField, l2_norm, random_divergence_free, taylor_green, zero_field
 from lanslab.grid import Grid, coordinates
-from helpers import div_l2_residual
-from lanslab.operators import leray_project
+from helpers import cube_of, div_l2_residual, half_of
+from lanslab.operators import leray_project, stokes_project
 from lanslab.solver import (
+    INITIAL_KINDS,
     InitialSpec,
     SolverConfig,
     SpectralStepper,
@@ -20,6 +22,7 @@ from lanslab.solver import (
     config_from_dict,
     solve_ivp,
 )
+from stepper_reference import HalfSpectrumStepper
 
 
 def small_cfg(**kw):
@@ -226,20 +229,109 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _white_noise_state(stepper, seed):
+    """A state with content on every mode of the cube, Leray-projected."""
+    grid = stepper.grid
+    noise = np.random.default_rng(seed).standard_normal((grid.n,) + grid.shape)
+    return stepper.project(stepper.to_state(VectorField(grid, noise)))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n,N", [(2, 16), (2, 32), (3, 16), (3, 32)])
 def test_nonlinear_matches_slow_path(n, N, alpha):
     grid = Grid(n, N)
     stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
     slow = _SlowKernel(grid, alpha)
-    rng = np.random.default_rng(17 * n + N)
-    # white noise: content on every mode, most of it outside the 2/3 mask
-    state = stepper.to_state(VectorField(grid, rng.standard_normal((n,) + grid.shape)))
-    power = np.abs(state) ** 2
-    assert np.sum(power[:, ~slow.dealias]) > 0.3 * np.sum(power)
-    got = stepper.nonlinear(state)
-    assert _rel_err(got, slow.nonlinear(state)) <= 1e-14
-    assert not np.any(got[:, ~slow.dealias])
+    state = _white_noise_state(stepper, 17 * n + N)
+    want = slow.nonlinear(half_of(state, grid.shape))
+    assert not np.any(want[:, ~slow.dealias])
+    assert _rel_err(stepper.nonlinear(state), cube_of(want, n)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n,N", [(2, 16), (2, 32), (3, 16), (3, 32)])
+def test_kernel_and_step_bitwise_equal_to_half_spectrum_stepper(n, N, alpha):
+    # on states zero beyond the cube the half-spectrum stepper sees the
+    # same numbers: its own transforms restricted to the cube, its kept
+    # modes gathered and scattered, and zeros elsewhere
+    grid = Grid(n, N)
+    stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
+    reference = HalfSpectrumStepper(grid, alpha, 1.0, 1e-3)
+    state = _white_noise_state(stepper, 31 * n + N)
+    for ours, theirs in ((stepper.nonlinear, reference.nonlinear), (stepper.step, reference.step)):
+        want = theirs(half_of(state, grid.shape))
+        assert np.array_equal(half_of(cube_of(want, n), grid.shape), want)
+        assert np.array_equal(ours(state), cube_of(want, n))
+
+
+def test_twenty_steps_match_the_half_spectrum_stepper():
+    # the half-spectrum stepper keeps the round-off its transform leaves
+    # beyond the cube; the cube stepper drops it on entry
+    grid = Grid(3, 16)
+    u0 = random_divergence_free(grid, seed=0)
+    stepper = SpectralStepper(grid, 1.0, 1.0, 2e-3)
+    reference = HalfSpectrumStepper(grid, 1.0, 1.0, 2e-3)
+    state = stepper.project(stepper.to_state(u0))
+    want = reference.project(reference.to_state(u0))
+    for _ in range(20):
+        state, want = stepper.step(state), reference.step(want)
+    assert _rel_err(state, cube_of(want, 3)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_to_state_drops_exactly_the_modes_beyond_the_cube(n):
+    grid = Grid(n, 16)
+    stepper = SpectralStepper(grid, 1.0, 1.0, 1e-3)
+    u = VectorField(grid, np.random.default_rng(n).standard_normal((n,) + grid.shape))
+    axes = tuple(range(-n, 0))
+    state = stepper.to_state(u)
+    assert np.array_equal(state, cube_of(sfft.rfftn(u.data, axes=axes, norm="forward"), n))
+    back = sfft.rfftn(stepper.to_field(state).data, axes=axes, norm="forward")
+    assert np.max(np.abs(back - half_of(state, grid.shape))) <= 1e-15 * np.max(np.abs(state))
+
+
+def _every_initial_kind(grid):
+    yield InitialSpec("taylor_green", 0.5)
+    yield InitialSpec("zero")
+    for j in range(grid.max_dyadic_index + 1):
+        yield InitialSpec("random_band", 0.5, j)
+    yield InitialSpec("random_divfree", 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_matches_picard_kernel_for_every_initial_kind(n, alpha):
+    # the convective form equals the divergence form for a divergence-free
+    # field on the cube: what the stepper holds once `to_state` has cut it.
+    # The error is relative to V before the projection, which leaves only
+    # round-off of 2-D Taylor-Green's gradient V at alpha = 0.
+    grid = Grid(n, 16)
+    stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
+    kinds = list(_every_initial_kind(grid))
+    assert {spec.kind for spec in kinds} == set(INITIAL_KINDS)
+    for spec in kinds:
+        state = stepper.project(stepper.to_state(spec.build(grid, seed=3)))
+        V = nonlinearity_V(stepper.to_field(state), alpha)
+        want = -stepper.to_state(stokes_project(V, alpha))
+        err = np.max(np.abs(stepper.nonlinear(state) - want))
+        assert err <= 1e-13 * np.max(np.abs(stepper.to_state(V))), spec
+
+
+def test_step_temporaries():
+    grid = Grid(3, 32)
+    stepper = SpectralStepper(grid, 1.0, 1.0, 2e-3)
+    state = stepper.project(stepper.to_state(random_divergence_free(grid, seed=2)))
+    stepper.step(state)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # 11.6 MB on the half spectrum; the cube's stages and the zero-padded
+    # inverse need about 8.6 MB
+    assert peak <= 9.5e6
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -269,8 +361,9 @@ def test_forward_norm_is_exact_rescaling(n):
         assert np.array_equal(_fft.ifftn(z, n), sfft.ifftn(z * npoints, axes=axes))
         for transform in (_fft.fftn, _fft.ifftn):
             assert np.array_equal(transform(z.copy(), n, overwrite=True), transform(z, n))
-        half = _fft.rfftn(x, n)
-        assert np.array_equal(half, sfft.rfftn(x, axes=axes) / npoints)
+        cube = _fft.rfftn(x, n)
+        assert np.array_equal(cube, cube_of(sfft.rfftn(x, axes=axes) / npoints, n))
         assert np.array_equal(
-            _fft.irfftn(half, shape), sfft.irfftn(half * npoints, s=shape, axes=axes)
+            _fft.irfftn(cube, shape),
+            sfft.irfftn(half_of(cube, shape) * npoints, s=shape, axes=axes),
         )
