@@ -20,7 +20,8 @@ ConfigError.  Dynamic checks take `run`, built from the run table of
 self-contained.  Values a well-typed parameter may still not take (a
 dyadic index the grid does not resolve, a trial count or an exponent
 below 1, a horizon T <= 0, an empty time grid, a run the solver refuses)
-are ConfigErrors too, raised before any check runs.
+are ConfigErrors too, raised before any check runs.  The ranges are
+`solver.RANGES`, by parameter name; this module defines none.
 """
 
 import inspect
@@ -49,7 +50,7 @@ from .grid import Grid, kmag, ksq
 from .operators import lambda_power
 from .paraproduct import block_bound_rhs, decompose_product_block, product_terms
 from .quadrature import duhamel_apply, duhamel_on_nodes, make_time_grid
-from .solver import InitialSpec, SolverConfig, Trajectory, _smoothness, expect_type, solve_ivp
+from .solver import InitialSpec, SolverConfig, Trajectory, check_range, expect_type, solve_ivp
 from .timenorms import _simpson, ct_norm, lsigma_norm
 
 
@@ -802,44 +803,12 @@ def check_parameters(check_id):
     return _parameters(CHECKS[check_id])
 
 
-def _dyadic_index(v, grid):
-    j_max = grid.max_dyadic_index
-    return 0 <= v <= j_max, f"a resolved dyadic index, 0 <= j <= {j_max}"
-
-
-def _at_least_1(v, grid):
-    return v >= 1, "at least 1"
-
-
-# Ranges of well-typed parameters, by name: (value, grid) -> (in range,
-# requirement); grid is None for a check without one.  A None value (the
-# check's default) is not checked.
-_RANGES = {
-    **dict.fromkeys(("j_max", "j_lo", "j_hi"), _dyadic_index),
-    # counts, and the Lebesgue and summability exponents
-    **dict.fromkeys(
-        ("trials", "pairs", "sample_stride", "p", "q", "q1", "q2", "p0", "p1", "p2",
-         "p_bar", "r1", "r2", "emb_p1", "emb_p2"),
-        _at_least_1,
-    ),
-    **dict.fromkeys(("order", "seed", "a"), lambda v, grid: (v >= 0, "at least 0")),
-    **dict.fromkeys(("s", "s0", "s1", "beta1", "beta2", "gamma2", "r"), _smoothness),
-    "k_max": lambda v, grid: (v >= 3, "at least 3"),
-    "alpha": lambda v, grid: (v >= 0 and math.isfinite(v * v), "at least 0, with a finite square"),
-    "T": lambda v, grid: (v > 0, "positive"),
-    "t_grid": lambda v, grid: (
-        all(0 <= t < math.inf for t in v) and any(t > 0 for t in v),
-        "a non-empty list of finite times >= 0, one of them positive",
-    ),
-}
-
-
 def parse_params(check_id, params):
     """Positional and keyword arguments of a check from a params dict.
 
     Raises ConfigError, naming the check and the key, for an unknown key, a
     missing required key, a value of the wrong type or out of its range
-    (`_RANGES`), an empty j_lo..j_hi range, an invalid grid or a run the
+    (`solver.RANGES`), an empty j_lo..j_hi range, an invalid grid or a run the
     solver refuses.  Floats are converted with float(); other values pass
     through.
     """
@@ -865,10 +834,7 @@ def parse_params(check_id, params):
         except ValueError as exc:
             raise ConfigError(f"{where}: parameters n={n}, N={N}: {exc}") from exc
     for key, value in kwargs.items():
-        if key in _RANGES and value is not None:
-            in_range, requirement = _RANGES[key](value, grid)
-            if not in_range:
-                raise ConfigError(f"{where}: parameter {key!r} must be {requirement}, got {value!r}")
+        check_range(f"{where}: parameter {key!r}", key, value, grid)
     j_lo, j_hi = kwargs.get("j_lo"), kwargs.get("j_hi")
     if j_lo is not None and j_hi is not None and j_lo > j_hi:
         # an empty block range would pass vacuously

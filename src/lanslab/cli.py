@@ -26,7 +26,7 @@ from .errors import (
     ConfigError,
     ParameterGateError,
 )
-from .solver import config_from_dict, solve_ivp
+from .solver import check_range, config_from_dict, solve_ivp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -395,14 +395,17 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _besov_index(text):
-    """One --indices entry "s,p,q"."""
+def _besov_index(text, grid):
+    """One --indices entry "s,p,q", each index in its `RANGES` range on `grid`."""
     from .dyadic import BesovIndex
 
     try:
-        return BesovIndex(*(float(x) for x in text.split(",")))
-    except (TypeError, ValueError) as exc:  # TypeError: not three numbers
+        s, p, q = (float(x) for x in text.split(","))
+    except ValueError as exc:  # also: not three numbers
         raise ConfigError(f"--indices: {text!r} is not s,p,q: {exc}") from None
+    for name, value in (("s", s), ("p", p), ("q", q)):
+        check_range(f"--indices {text!r}: {name}", name, value, grid)
+    return BesovIndex(s, p, q)
 
 
 def cmd_lp_analyze(args):
@@ -410,11 +413,11 @@ def cmd_lp_analyze(args):
     from .dyadic import build_dyadic_family, norm_report_record
     from .fieldio import read_field
 
-    indices = [_besov_index(text) for text in args.indices or ["1,2,2"]]
     try:
         f = _at_path("--field", args.field, read_field)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    indices = [_besov_index(text, f.grid) for text in args.indices or ["1,2,2"]]
     out_dir, manifest = _open_output(args, "lp-analyze", {"field": str(args.field)}, 0)
     fam = build_dyadic_family(f.grid)
     km_tab = {

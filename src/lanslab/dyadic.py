@@ -219,9 +219,14 @@ class DyadicFamily:
     def _lq(self, block_norms, idx):
         """l^q over j of 2^{js} times the block norms."""
         terms = 2.0 ** (idx.s * np.arange(self.j_max + 1)) * block_norms
+        top = float(np.max(terms))
         if math.isinf(idx.q):
-            return float(np.max(terms))
-        return float(np.sum(terms**idx.q) ** (1.0 / idx.q))
+            return top
+        with np.errstate(over="ignore"):
+            powers = np.sum(terms**idx.q)
+        if 0.0 < top < math.inf and powers in (0.0, math.inf):  # q-th powers out of range
+            return top * float(np.sum((terms / top) ** idx.q) ** (1.0 / idx.q))
+        return float(powers ** (1.0 / idx.q))
 
     def dyadic_norm(self, f, idx):
         """The annular part alone: l^q over j of 2^{js} ||Delta_j f||_p."""

@@ -11,6 +11,9 @@ accuracy on the nonlinear term.  States stay divergence-free to round-off
 because every stage is Leray-projected in spectral space.  The state is
 the spectrum `_fft.rfftn` returns on the 2/3 rule's cube, in the
 coefficient convention of `_fft`; `to_state` drops the modes beyond it.
+
+`RANGES` is the range table, by name, of the numbers in configs, verify
+suites and `lp-analyze --indices`; all three call `check_range`.
 """
 
 import math
@@ -27,21 +30,6 @@ from .fields import VectorField, taylor_green, zero_field
 from .grid import Grid
 from .operators import leray_project
 
-# Lower bounds of the config values, by dotted key, as configs/schema.json
-# states them: (bound, whether the bound itself is allowed).  A None value
-# (picard.ball_radius's default) is not checked.
-_LOWER_BOUNDS = {
-    "alpha": (0, True),
-    **dict.fromkeys(("nu", "T", "dt", "blowup_threshold"), (0, False)),
-    **dict.fromkeys(("seed", "snapshot_stride", "initial.j"), (0, True)),
-    "csv_stride": (1, True),
-    **dict.fromkeys(("besov.p", "besov.p_tilde", "besov.q"), (1, True)),
-    "picard.tol": (0, False),
-    **dict.fromkeys(("picard.max_iter", "picard.panels", "picard.grading"), (1, True)),
-    "picard.nodes_per_panel": (2, True),
-    "picard.ball_radius": (0, False),
-}
-
 
 def _smoothness(v, grid):
     # The Besov weights 2^{s j}, j <= j_max, with one level to spare, stay
@@ -53,18 +41,49 @@ def _smoothness(v, grid):
     return abs(v) * (j_max + 1) < 1024, requirement
 
 
-def _check_bounds(section, prefix):
-    """Raise ConfigError, naming the dotted key, for the first field of the
-    config dataclass `section` outside its `_LOWER_BOUNDS` entry."""
-    for name in section.__dataclass_fields__:
-        key, value = prefix + name, getattr(section, name)
-        if key not in _LOWER_BOUNDS or value is None:
-            continue
-        bound, inclusive = _LOWER_BOUNDS[key]
-        if not (value >= bound if inclusive else value > bound):  # refuses NaN too
-            raise ConfigError(
-                f"config key {key!r}: need {key} {'>=' if inclusive else '>'} {bound}, got {value!r}"
-            )
+def _dyadic_index(v, grid):
+    j_max = grid.max_dyadic_index
+    return 0 <= v <= j_max, f"a resolved dyadic index, 0 <= j <= {j_max}"
+
+
+def _at_least(bound):
+    return lambda v, grid: (v >= bound, f"at least {bound}")
+
+
+# The range of each input number, by its own name: a check
+# parameter, an `lp-analyze --indices` index or the last part of a dotted
+# config key (`besov.q` is `q`).  (value, grid) -> (in range, requirement);
+# grid is None for a check without one.  NaN is in no range.
+RANGES = {
+    **dict.fromkeys(("j_max", "j_lo", "j_hi"), _dyadic_index),
+    # counts, and the Lebesgue and summability exponents
+    **dict.fromkeys(
+        ("trials", "pairs", "sample_stride", "csv_stride", "max_iter", "panels", "grading", "p",
+         "q", "q1", "q2", "p0", "p1", "p2", "p_tilde", "p_bar", "r1", "r2", "emb_p1", "emb_p2"),
+        _at_least(1),
+    ),
+    **dict.fromkeys(("order", "seed", "a", "snapshot_stride", "j"), _at_least(0)),
+    **dict.fromkeys(("s", "s0", "s1", "beta1", "beta2", "gamma2", "r"), _smoothness),
+    **dict.fromkeys(("T", "nu", "dt", "blowup_threshold", "tol", "ball_radius"),
+                    lambda v, grid: (v > 0, "positive")),
+    "nodes_per_panel": _at_least(2),
+    "k_max": _at_least(3),
+    "alpha": lambda v, grid: (v >= 0 and math.isfinite(float(v) * v),  # an int squares exactly
+                              "at least 0, with a finite square"),
+    "t_grid": lambda v, grid: (
+        all(0 <= t < math.inf for t in v) and any(t > 0 for t in v),
+        "a non-empty list of finite times >= 0, one of them positive",
+    ),
+}
+
+
+def check_range(where, name, value, grid):
+    """Raise ConfigError, `where` naming the key, unless `value` is in the range
+    RANGES gives `name`; a name without a rule and a None value (a default) pass."""
+    if name in RANGES and value is not None:
+        in_range, requirement = RANGES[name](value, grid)
+        if not in_range:
+            raise ConfigError(f"{where} must be {requirement}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +97,6 @@ class BesovIndices:
     p_tilde: float = 2.0
     q: float = 2.0
 
-    def __post_init__(self):
-        _check_bounds(self, "besov.")
-
 
 @dataclass(frozen=True)
 class PicardParams:
@@ -90,9 +106,6 @@ class PicardParams:
     nodes_per_panel: int = 4
     grading: float = 2.0
     ball_radius: float | None = None
-
-    def __post_init__(self):
-        _check_bounds(self, "picard.")
 
 
 INITIAL_KINDS = ("taylor_green", "zero", "random_band", "random_divfree")
@@ -110,7 +123,6 @@ class InitialSpec:
                 f"config key 'initial.kind' must be one of {', '.join(INITIAL_KINDS)}, "
                 f"got {self.kind!r}"
             )
-        _check_bounds(self, "initial.")
 
     def build(self, grid, seed=0):
         if self.kind == "taylor_green":
@@ -125,6 +137,16 @@ class InitialSpec:
         from .fields import random_divergence_free
 
         return self.amplitude * random_divergence_free(grid, seed)
+
+
+def _leaves(section, prefix):
+    """(dotted key, value) of each leaf of the config dataclass `section`."""
+    for name in section.__dataclass_fields__:
+        value = getattr(section, name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
 
 
 @dataclass(frozen=True)
@@ -144,24 +166,16 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ConfigError(f"config key 'n' must be 2 or 3, got {self.n!r}")
         try:
             grid = Grid(self.n, self.N)
         except ValueError as exc:
-            raise ConfigError(f"config key 'N': {exc}") from exc
-        _check_bounds(self, "")
-        if not math.isfinite(float(self.alpha) * self.alpha):
-            raise ConfigError(f"config key 'alpha': need a finite alpha^2, got {self.alpha!r}")
-        for key, value in (("r", self.besov.r), ("s", self.besov.s)):
-            in_range, requirement = _smoothness(value, grid)
-            if not in_range:
-                raise ConfigError(f"config key 'besov.{key}' must be {requirement}, got {value!r}")
-        j_max = grid.max_dyadic_index
-        if self.initial.kind == "random_band" and self.initial.j > j_max:
+            raise ConfigError(f"config keys 'n', 'N': {exc}") from exc
+        for key, value in _leaves(self, ""):
+            check_range(f"config key {key!r}", key.rpartition(".")[2], value, grid)
+        if self.initial.kind == "random_band" and self.initial.j > grid.max_dyadic_index:
             raise ConfigError(
                 f"initial.j={self.initial.j} is not a resolved annulus on N={self.N}: "
-                f"random_band needs 0 <= initial.j <= {j_max} (2^(j+1) <= N/2)"
+                f"random_band needs 0 <= initial.j <= {grid.max_dyadic_index} (2^(j+1) <= N/2)"
             )
 
     @property

@@ -355,3 +355,30 @@ def test_kept_mode_norms_warn_as_the_scattered_field(family3d, ncomp):
             fast = len(caught)
             family3d.besov_norm(SpectralField(grid, on_kept(grid, values)), idx)
         assert fast == len(caught) - fast == warns
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 100.0])
+def test_large_finite_q_sums_relative_to_the_largest_term(amplitude):
+    # Taylor-Green at N = 16: at amplitude 0.1 every weighted block is below
+    # 1 and its 400th power underflowed, so the dyadic sum read 0; at 100
+    # the largest block's power overflowed to inf.  JSON states q = inf
+    # only as a large finite q.
+    from lanslab.fields import taylor_green
+
+    grid = Grid(2, 16)
+    fam = build_dyadic_family(grid)
+    f = taylor_green(grid, amplitude)
+    kept, _ = kept_modes(grid)
+    values = to_spectral(f).coeffs.reshape(2, -1)[:, kept]
+    low, blocks = fam.block_lp_norms(f, 2)
+    terms = 2.0 ** (2.5 * np.arange(fam.j_max + 1)) * blocks
+    sup = fam.besov_norm(f, BesovIndex(2.5, 2, math.inf))
+    for q in (400, 1e300):
+        idx = BesovIndex(2.5, 2, q)
+        assert fam.besov_norm(f, idx) == pytest.approx(sup, rel=1e-12)
+        assert fam.kept_besov_norms(values, idx)[0] == pytest.approx(sup, rel=1e-12)
+    for q in (2, 50):  # the direct sum, bitwise as before
+        assert fam.besov_norm(f, BesovIndex(2.5, 2, q)) == low + float(
+            np.sum(terms**q) ** (1.0 / q)
+        )
+    assert fam.besov_norm(zero_field(grid, 2), BesovIndex(2.5, 2, 1e300)) == 0.0

@@ -93,9 +93,9 @@ SUITE_PROBES = {
                      ["checks[1]", "heat_smoothing", "'t_grid'", "non-empty"]),
     "negative_time": ({"id": "heat_smoothing", "params": {"n": 2, "N": 16, "t_grid": [0.1, -1]}},
                       ["checks[1]", "heat_smoothing", "'t_grid'"]),
-    # run parameters the solver refuses: raised when the check started
+    # a run parameter out of its range: refused by the rule a config's nu has
     "zero_viscosity": ({"id": "energy_monotone", "params": {"n": 2, "N": 16, "nu": 0}},
-                       ["checks[1]", "energy_monotone", "nu > 0"]),
+                       ["checks[1]", "energy_monotone", "'nu'", "positive"]),
     "unknown_initial_kind": ({"id": "gronwall_differential", "params": {"initial_kind": "bogus"}},
                              ["checks[1]", "gronwall_differential", "'bogus'"]),
 }
@@ -330,13 +330,16 @@ ARG_PROBES = {
     "sweep_grid_not_integer": (["sweep", "--axis", "N", "--values", "16.7"],
                                ["--values", "N=16.7", "integer"]),
     "sweep_negative_alpha": (["sweep", "--axis", "alpha", "--values", "-0.5"],
-                             ["--values", "alpha=-0.5", "alpha >= 0"]),
+                             ["--values", "alpha=-0.5", "at least 0"]),
     "sweep_nan_horizon": (["sweep", "--axis", "amplitude", "--values", "0.1", "--t-max", "nan"],
                           ["--t-max", "nan"]),
     "indices_two_numbers": (["lp-analyze", "--indices", "1,2"], ["--indices", "'1,2'"]),
     "indices_four_numbers": (["lp-analyze", "--indices", "1,2,2,3"], ["--indices", "'1,2,2,3'"]),
     "indices_sub_one_p": (["lp-analyze", "--indices", "1,0.5,2"], ["--indices", "'1,0.5,2'"]),
     "indices_nan_s": (["lp-analyze", "--indices", "nan,2,2"], ["--indices", "'nan,2,2'"]),
+    # 2^{s j} overflowed: an OverflowError traceback from block_profile (exit 1)
+    "indices_huge_s": (["lp-analyze", "--indices", "1e300,2,2"],
+                       ["--indices", "'1e300,2,2'", "|s| (j_max + 1) < 1024"]),
     "field_missing": (["lp-analyze", "--field", "{tmp}/nope.lans"], ["nope.lans"]),
     "field_malformed": (["lp-analyze", "--field", "{tmp}/bad.lans"],
                         ["bad.lans", "not a field snapshot"]),
@@ -444,10 +447,30 @@ def _past_the_bounds(schema, path=""):
 SCHEMA_BOUNDS = sorted(_past_the_bounds(json.loads((CONFIGS / "schema.json").read_text())))
 
 
+def _at_the_bounds(schema, path=""):
+    """(dotted key, value) at each inclusive minimum and just above each
+    exclusiveMinimum that `schema` states, nested objects included."""
+    for name, prop in schema["properties"].items():
+        key = path + name
+        if prop["type"] == "object":
+            yield from _at_the_bounds(prop, key + ".")
+            continue
+        if "minimum" in prop:
+            yield key, prop["minimum"]
+        if "exclusiveMinimum" in prop:
+            bound = prop["exclusiveMinimum"]
+            yield key, bound + 1 if prop["type"] == "integer" else math.nextafter(bound, math.inf)
+
+
+SCHEMA_EDGES = sorted(_at_the_bounds(json.loads((CONFIGS / "schema.json").read_text())))
+
+
 def test_schema_states_bounds():
     assert {"seed", "csv_stride", "initial.j", "besov.q", "picard.ball_radius"} <= {
         key for key, _ in SCHEMA_BOUNDS
     }
+    enums = {"n", "initial.kind"}
+    assert {key for key, _ in SCHEMA_EDGES} == {key for key, _ in SCHEMA_BOUNDS} - enums
 
 
 @pytest.mark.parametrize("key, value", SCHEMA_BOUNDS)
@@ -457,6 +480,47 @@ def test_schema_bounds_are_enforced(key, value):
     (doc.setdefault(section, {}) if section else doc)[name] = value
     with pytest.raises(ConfigError, match=f"'{re.escape(key)}'"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", SCHEMA_EDGES)
+def test_schema_bounds_are_tight(key, value):
+    # a rule stricter than the schema would refuse a value the schema allows
+    doc = copy.deepcopy(VALID_CONFIG)
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    config_from_dict(doc)
+
+
+# Each name a config and a check both take has one rule: an out-of-range
+# value is refused through `solve` and `verify` with the same requirement.
+# The check params are those of a check that takes the name.
+SHARED_NAMES = {
+    "alpha": ("alpha", "energy_monotone", -1),
+    "seed": ("seed", "energy_monotone", -1),
+    "T": ("T", "energy_monotone", 0),
+    "nu": ("nu", "energy_monotone", 0),
+    "dt": ("dt", "energy_monotone", 0),
+    "p": ("besov.p", "product", 0.5),
+    "q": ("besov.q", "product", 0.5),
+    "r": ("besov.r", "gronwall_differential", 1e300),
+    "s": ("besov.s", "product", -1e300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_NAMES))
+def test_one_rule_per_name(tmp_path, capsys, name):
+    key, cid, value = SHARED_NAMES[name]
+    config = copy.deepcopy(VALID_CONFIG)
+    section, _, leaf = key.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[leaf] = value
+    suite = {"checks": [{"id": cid, "params": {"n": 3, "N": 16, name: value}}]}
+    requirements = []
+    for command, doc, quoted in (("solve", config, key), ("verify", suite, name)):
+        (tmp_path / command).mkdir()
+        code, err, out = _run(tmp_path / command, command, doc, capsys)
+        assert code == 2 and f"'{quoted}' must be " in err and not out.exists()
+        requirements.append(re.search(r"must be (.*), got", err).group(1))
+    assert requirements[0] == requirements[1]
 
 
 # Values the schema bounds but the code took: each ended in a traceback
@@ -473,6 +537,8 @@ BOUND_PROBES = {
     "negative_ball_radius": ("picard", {"picard": {"ball_radius": -1}}, "picard.ball_radius"),
     "solve_overflowing_alpha": ("solve", {"alpha": 1e300}, "alpha"),
     "picard_overflowing_alpha": ("picard", {"alpha": 1e300}, "alpha"),
+    # a JSON integer reaches the rule unconverted: its exact square is no float
+    "solve_overflowing_integer_alpha": ("solve", {"alpha": 10**155}, "alpha"),
     # 2^{s j} overflowed: exit 0 with inf in every Besov row
     "solve_overflowing_besov_r": ("solve", {"besov": {"r": 1e300, "s": 1e300}}, "besov.r"),
     "solve_overflowing_besov_s": ("solve", {"besov": {"s": -1e300}}, "besov.s"),
