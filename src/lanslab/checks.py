@@ -485,7 +485,7 @@ def _run_config(
         initial=InitialSpec(initial_kind, amplitude, band_j),
     )
     if sample_stride is None:
-        sample_stride = max(1, int(round(cfg.T / cfg.dt)) // 50)
+        sample_stride = max(1, cfg.steps // 50)
     return cfg, sample_stride
 
 
@@ -527,8 +527,7 @@ def energy_monotone_report(traj, dt, c_tol):
 
 def check_energy_monotone(grid, *, c_tol=10.0, run):
     cfg, traj = run[0], _trajectory(run)
-    dt_eff = cfg.T / max(1, int(round(cfg.T / cfg.dt)))
-    return energy_monotone_report(traj, dt_eff, c_tol)
+    return energy_monotone_report(traj, cfg.T / cfg.steps, c_tol)
 
 
 def _rate_profiles(check_id, traj, r, q, n, norm):

@@ -165,23 +165,14 @@ def _open_output(args, command, config_snapshot, seed):
 
 def _trajectory_csv(traj, out_dir, manifest):
     """trajectory.csv: one row per Besov sample of a run made with a
-    besov_stride."""
-    series = traj.series
-    lookup = {round(float(t), 12): i for i, t in enumerate(series["t"])}
-    rows = []
-    for k, t in enumerate(series["besov_t"]):
-        i = lookup[round(float(t), 12)]
-        rows.append(
-            (
-                float(t),
-                float(series["energy"][i]),
-                float(series["l2"][i]),
-                float(series["grad_l2"][i]),
-                float(series["besov_base"][k]),
-                float(series["besov_critical"][k]),
-                float(series["div_residual"][i]),
-            )
+    besov_stride, beside the diagnostics of the step it was taken at."""
+    s = traj.series
+    rows = [
+        (t, s["energy"][i], s["l2"][i], s["grad_l2"][i], base, critical, s["div_residual"][i])
+        for i, t, base, critical in zip(
+            s["besov_step"], s["besov_t"], s["besov_base"], s["besov_critical"]
         )
+    ]
     header = ["t", "E", "u_L2", "grad_u_L2", "u_besov_base", "u_besov_critical", "div_residual"]
     write_csv(out_dir / "trajectory.csv", header, rows)
     manifest.add_output("trajectory.csv")
@@ -232,14 +223,8 @@ def cmd_picard(args):
     ]
     write_csv(out_dir / "residuals.csv", ["iterate", "residual"], rows)
     manifest.add_output("residuals.csv")
-    from .dyadic import BesovIndex, build_dyadic_family
-
-    fam = build_dyadic_family(cfg.grid)
-    idx = BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q)
-    traj_rows = [
-        (float(t), fam.besov_norm(f, idx)) for t, f in zip(traj.times, traj.fields)
-    ]
-    write_csv(out_dir / "picard_trajectory.csv", ["t", "u_besov_base"], traj_rows)
+    base = zip(traj.series["besov_t"], traj.series["besov_base"])
+    write_csv(out_dir / "picard_trajectory.csv", ["t", "u_besov_base"], base)
     manifest.add_output("picard_trajectory.csv")
     manifest.finish(out_dir)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -364,6 +349,11 @@ def _sweep_values(cfg, args):
     the config on the swept axis."""
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ConfigError(f"--t-max: {args.t_max} is not a positive finite number")
+    if args.axis == "amplitude":  # the horizons it probes are T up to --t-max
+        try:
+            cfg.with_updates(T=args.t_max)
+        except ConfigError as exc:
+            raise ConfigError(f"--t-max: {exc}") from None
     values = []
     for text in args.values:
         try:

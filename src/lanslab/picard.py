@@ -21,8 +21,8 @@ correction stack on those modes (`grid.kept_modes`); so are the residual's
 difference and u - e^{t nu Lap} u0, normed there by
 `DyadicFamily.kept_besov_norms`.  One pass over the output times then forms
 each state once for its auxiliary norm and for the next sweep's forcing,
-or, in the last sweep (known by then), keeps it.  Gamma u0 gets the same
-pass before the first sweep.
+or, in the last sweep (known by then), for its base norm, and drops it.
+Gamma u0 gets the same pass before the first sweep.
 """
 
 import math
@@ -113,11 +113,11 @@ def picard_solve(u0, cfg):
     Returns (Trajectory, PicardReport); `converged` is False when the
     residual fails to fall below cfg.picard.tol within cfg.picard.max_iter
     sweeps (the usual signal that the horizon is too long for this data).
-    The trajectory holds spectra (SpectralField): u0 at t = 0, then the
-    last iterate at the Gauss nodes and at T, whose auxiliary-index block
-    norms are memoized on them.  Between sweeps the correction stack and
-    the next sweep's forcing are held; a pass holds one state at a time,
-    and the last pass the states it keeps.
+    The trajectory holds the last iterate at T (a SpectralField) and, in
+    `series`, the base Besov norm of u0 and of the last iterate at every
+    output time ("besov_t", "besov_base"), the shape `solve_ivp` returns
+    with sample_stride = 0.  Between sweeps the correction stack and the
+    next sweep's forcing are held; a pass holds one state at a time.
     """
     grid = cfg.grid
     bz = cfg.besov
@@ -139,9 +139,11 @@ def picard_solve(u0, cfg):
     def state_pass(corr, last):
         """Form each iterate state e^{t nu Lap} u0 - corr once and take its
         auxiliary norm; then write the node's forcing P V(u) on the kept
-        modes (T itself is not a node) or, in the last sweep, keep the
-        state.  Returns (auxiliary norms, forcing or None, kept states)."""
-        aux, states = [], []
+        modes (T itself is not a node) or, in the last sweep, take its base
+        norm (at p = p~ from the same block norms) and drop it.  Returns
+        (auxiliary norms, forcing, base norms, state at T): the last sweep
+        has no forcing, an earlier one neither base norms nor a state."""
+        aux, base = [], []
         forc = None if last else np.empty((tg.flat_nodes.size, grid.n, kept.size), dtype=complex)
         for i, t in enumerate(out_times):
             coeffs = np.exp((-nu * t) * k2) * u0.coeffs
@@ -149,16 +151,16 @@ def picard_solve(u0, cfg):
             u = SpectralField(grid, coeffs)
             aux.append(family.besov_norm(u, idx_aux))
             if last:
-                states.append(u)
+                base.append(family.besov_norm(u, idx_base))
             elif i < len(forc):
                 V = stokes_project(nonlinearity_V(u, cfg.alpha), cfg.alpha).coeffs
                 np.take(V.reshape(grid.n, -1), kept, axis=1, out=forc[i])
                 del V  # freed before the next node's nonlinearity runs
-        return np.array(aux), forc, states
+        return np.array(aux), forc, base, u if last else None
 
     # the iterate is gamma = e^{t nu Lap} u0 minus this correction
     corr = np.zeros((len(out_times), grid.n, kept.size), dtype=complex)
-    gamma_aux, forc, _ = state_pass(corr, last=False)
+    gamma_aux, forc, _, _ = state_pass(corr, last=False)
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
@@ -179,10 +181,10 @@ def picard_solve(u0, cfg):
         if len(residuals) >= 2 and residuals[-2] > 0:
             ratios.append(residual / residuals[-2])
         converged = residual <= pp.tol
-        # the last sweep is known before its pass: it keeps its states
+        # the last sweep is known before its pass: it takes the base norms
         last = (converged or not math.isfinite(residual) or residual > _RESIDUAL_BAIL
                 or sweeps == pp.max_iter)
-        up_aux, forc, states = state_pass(corr, last)
+        up_aux, forc, base, final = state_pass(corr, last)
         mixed = float(np.max(up_base) + np.max(weights * up_aux))
         membership.append(mixed)
         membership_ok.append(mixed <= ball * (1.0 + 1e-9) + 1e-30)
@@ -201,8 +203,9 @@ def picard_solve(u0, cfg):
         membership=membership,
         membership_ok=membership_ok,
     )
-    traj = Trajectory(times=np.concatenate([[0.0], out_times]), fields=[u0, *states])
-    return traj, report
+    series = {"besov_t": np.concatenate([[0.0], out_times]),
+              "besov_base": np.array([family.besov_norm(u0, idx_base), *base])}
+    return Trajectory(times=[cfg.T], fields=[final], series=series), report
 
 
 def estimate_existence_time(amplitudes, cfg, t_max=2.0, bisect_steps=6):
@@ -214,43 +217,38 @@ def estimate_existence_time(amplitudes, cfg, t_max=2.0, bisect_steps=6):
     refined by bisection.  Zero amplitude certifies the harness cap t_max
     directly.  Deterministic given (cfg, amplitudes).
     """
-    rows = []
     family = build_dyadic_family(cfg.grid)
     idx_base = BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q)
 
-    def certify(initial, horizon):
-        trial = cfg.with_updates(T=horizon, initial=initial)
-        _, rep = picard_solve(trial.initial_field(), trial)
+    def certify(u0, horizon):
+        _, rep = picard_solve(u0, cfg.with_updates(T=horizon))
         return rep.converged
 
-    for amp in amplitudes:
-        initial = replace(cfg.initial, amplitude=amp)
-        u0_norm = family.besov_norm(initial.build(cfg.grid, seed=cfg.seed), idx_base)
-        if u0_norm == 0.0:
-            rows.append({"amplitude": float(amp), "u0_norm": 0.0, "certified_T": float(t_max)})
-            continue
-        if certify(initial, t_max):
-            rows.append(
-                {"amplitude": float(amp), "u0_norm": u0_norm, "certified_T": float(t_max)}
-            )
-            continue
-        hi = t_max
-        lo = None
-        probe = t_max
+    def existence_time(u0):
+        if certify(u0, t_max):
+            return t_max
+        hi = probe = t_max
         for _ in range(8):
             probe /= 2.0
-            if certify(initial, probe):
-                lo = probe
+            if certify(u0, probe):
                 break
             hi = probe
-        if lo is None:
-            rows.append({"amplitude": float(amp), "u0_norm": u0_norm, "certified_T": 0.0})
-            continue
+        else:
+            return 0.0
+        lo = probe
         for _ in range(bisect_steps):
             mid = 0.5 * (lo + hi)
-            if certify(initial, mid):
+            if certify(u0, mid):
                 lo = mid
             else:
                 hi = mid
-        rows.append({"amplitude": float(amp), "u0_norm": u0_norm, "certified_T": float(lo)})
-    return rows
+        return lo
+
+    def row(amp):
+        # one spectrum per amplitude: every certify's base norm of it is memoized
+        u0 = to_spectral(replace(cfg.initial, amplitude=amp).build(cfg.grid, seed=cfg.seed))
+        u0_norm = family.besov_norm(u0, idx_base)
+        certified = t_max if u0_norm == 0.0 else existence_time(u0)
+        return {"amplitude": float(amp), "u0_norm": u0_norm, "certified_T": float(certified)}
+
+    return [row(amp) for amp in amplitudes]

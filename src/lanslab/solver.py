@@ -172,6 +172,11 @@ class SolverConfig:
             raise ConfigError(f"config keys 'n', 'N': {exc}") from exc
         for key, value in _leaves(self, ""):
             check_range(f"config key {key!r}", key.rpartition(".")[2], value, grid)
+        # at most 10^7 steps, whose five per-step series alone take 400 MB; no
+        # quotient, which overflows for a subnormal dt
+        if not self.T <= 10**7 * self.dt:
+            raise ConfigError(f"config keys 'T', 'dt': T/dt must be at most 10^7 steps, "
+                              f"got T={self.T!r}, dt={self.dt!r}")
         if self.initial.kind == "random_band" and self.initial.j > grid.max_dyadic_index:
             raise ConfigError(
                 f"initial.j={self.initial.j} is not a resolved annulus on N={self.N}: "
@@ -181,6 +186,11 @@ class SolverConfig:
     @property
     def grid(self):
         return Grid(self.n, self.N)
+
+    @property
+    def steps(self):
+        """The number of IF-RK4 steps: T/dt rounded, at least 1."""
+        return max(1, round(self.T / self.dt))
 
     def initial_field(self):
         return self.initial.build(self.grid, seed=self.seed)
@@ -401,7 +411,8 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     u0 is Leray-projected once, on the stepper's cube.
     Returns a Trajectory whose `series` dict carries per-step scalars
     (t, energy, l2, grad_l2, div_residual) and, when besov_stride > 0,
-    subsampled Besov norms in the configured base and critical spaces.
+    subsampled Besov norms in the configured base and critical spaces with
+    the step index of each ("besov_step").
     Its fields are the states every `sample_stride` steps (by default
     about 100 of them) and the final state; sample_stride = 0 keeps the
     final state only.
@@ -410,7 +421,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     grid = cfg.grid
     if u0.grid != grid:
         raise ConfigError("initial data grid does not match config")
-    nsteps = max(1, int(round(cfg.T / cfg.dt)))
+    nsteps = cfg.steps
     dt = cfg.T / nsteps
     stepper = SpectralStepper(grid, cfg.alpha, cfg.nu, dt)
     state = stepper.project(stepper.to_state(u0))
@@ -443,7 +454,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
         if besov_idx is not None and (i % besov_stride == 0 or i == nsteps):
             f = fields[-1] if keep_sample else stepper.to_field(state)
             besov_rows.append(
-                (t, family.besov_norm(f, besov_idx[0]), family.besov_norm(f, besov_idx[1]))
+                (i, t, family.besov_norm(f, besov_idx[0]), family.besov_norm(f, besov_idx[1]))
             )
 
     record(0, 0.0, state, stepper.diagnostics(state))
@@ -458,8 +469,7 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
 
     series = {"t": t_series, **cols}
     if besov_rows:
-        arr = np.asarray(besov_rows)
-        series["besov_t"] = arr[:, 0]
-        series["besov_base"] = arr[:, 1]
-        series["besov_critical"] = arr[:, 2]
+        steps, *rows = zip(*besov_rows)
+        series["besov_step"] = np.array(steps)
+        series["besov_t"], series["besov_base"], series["besov_critical"] = map(np.array, rows)
     return Trajectory(times=np.asarray(times), fields=fields, series=series)

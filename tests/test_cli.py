@@ -97,6 +97,25 @@ def test_solve_without_snapshots_keeps_only_the_final_field(tmp_path, monkeypatc
     assert (out0 / "trajectory.csv").read_bytes() == (out1 / "trajectory.csv").read_bytes()
 
 
+def test_solve_csv_rows_carry_their_own_step(tmp_path, monkeypatch):
+    # at dt = 1e-13 ten steps share one time rounded to 12 digits: rows
+    # matched to steps by that time held another step's diagnostics
+    solve_ivp, kept = cli.solve_ivp, []
+    monkeypatch.setattr(cli, "solve_ivp", lambda *a, **kw: kept.append(solve_ivp(*a, **kw)) or kept[-1])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "N": 8, "T": 1e-10, "dt": 1e-13, "csv_stride": 7}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+    steps = [*range(0, 1000, 7), 1000]
+    assert len(lines) == len(steps) == 144
+    series = kept[0].series
+    for line, i in zip(lines, steps):
+        t, E, l2, grad_l2, _, _, div = (float(v) for v in line.split(","))
+        want = (series[key][i] for key in ("t", "energy", "l2", "grad_l2", "div_residual"))
+        assert (t, E, l2, grad_l2, div) == tuple(want)
+
+
 def test_solve_snapshots_round_trip(tmp_path):
     from lanslab.fieldio import read_field
 

@@ -98,6 +98,9 @@ SUITE_PROBES = {
                        ["checks[1]", "energy_monotone", "'nu'", "positive"]),
     "unknown_initial_kind": ({"id": "gronwall_differential", "params": {"initial_kind": "bogus"}},
                              ["checks[1]", "gronwall_differential", "'bogus'"]),
+    # T/dt overflowed the step count: a traceback when the check ran
+    "overflowing_step_count": ({"id": "energy_monotone", "params": {"n": 2, "N": 8, "dt": 5e-324}},
+                               ["checks[1]", "energy_monotone", "'T'", "'dt'", "steps"]),
 }
 
 
@@ -333,6 +336,10 @@ ARG_PROBES = {
                              ["--values", "alpha=-0.5", "at least 0"]),
     "sweep_nan_horizon": (["sweep", "--axis", "amplitude", "--values", "0.1", "--t-max", "nan"],
                           ["--t-max", "nan"]),
+    # a horizon of more than 10^7 steps of the config's dt: refused when
+    # the bisection probed it, after the output directory was made
+    "sweep_horizon_too_many_steps": (["sweep", "--axis", "amplitude", "--values", "0.1",
+                                      "--t-max", "1e300"], ["--t-max", "'dt'", "steps"]),
     "indices_two_numbers": (["lp-analyze", "--indices", "1,2"], ["--indices", "'1,2'"]),
     "indices_four_numbers": (["lp-analyze", "--indices", "1,2,2,3"], ["--indices", "'1,2,2,3'"]),
     "indices_sub_one_p": (["lp-analyze", "--indices", "1,0.5,2"], ["--indices", "'1,0.5,2'"]),
@@ -484,10 +491,14 @@ def test_schema_bounds_are_enforced(key, value):
 
 @pytest.mark.parametrize("key, value", SCHEMA_EDGES)
 def test_schema_bounds_are_tight(key, value):
-    # a rule stricter than the schema would refuse a value the schema allows
+    # a rule stricter than the schema would refuse a value the schema allows;
+    # T/dt is bound as well (at most 10^7 steps, the schema's `dt` says), so
+    # at dt's edge T is one step
     doc = copy.deepcopy(VALID_CONFIG)
     section, _, name = key.rpartition(".")
     (doc.setdefault(section, {}) if section else doc)[name] = value
+    if key == "dt":
+        doc["T"] = value
     config_from_dict(doc)
 
 
@@ -543,6 +554,9 @@ BOUND_PROBES = {
     "solve_overflowing_besov_r": ("solve", {"besov": {"r": 1e300, "s": 1e300}}, "besov.r"),
     "solve_overflowing_besov_s": ("solve", {"besov": {"s": -1e300}}, "besov.s"),
     "picard_overflowing_besov_s": ("picard", {"besov": {"s": 1e300}}, "besov.s"),
+    # T/dt steps: an OverflowError, and an array too large to allocate
+    "solve_overflowing_step_count": ("solve", {"dt": 5e-324}, "dt"),
+    "solve_huge_step_count": ("solve", {"dt": 1e-300}, "dt"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import picard_reference as ref
 from helpers import div_l2_residual
+from lanslab.dyadic import BesovIndex, build_dyadic_family
 from lanslab.errors import AdmissibilityError
 from lanslab.fields import SpectralField, l2_norm, to_real
 from lanslab.picard import check_admissibility, estimate_existence_time, picard_solve
@@ -66,9 +67,6 @@ SLOW_PATH_U_BESOV = [
 
 
 def test_held_spectra_path_matches_slow_path_record():
-    from lanslab.dyadic import BesovIndex, build_dyadic_family
-    from lanslab.solver import PicardParams
-
     cfg = picard_cfg(
         seed=5,
         initial=InitialSpec("random_divfree", 0.05),
@@ -79,9 +77,7 @@ def test_held_spectra_path_matches_slow_path_record():
     floor = 1e-11 * SLOW_PATH_RESIDUALS[0]
     for got, want in zip(rep.residuals, SLOW_PATH_RESIDUALS):
         assert abs(got - want) <= 1e-6 * want + floor
-    fam = build_dyadic_family(cfg.grid)
-    base = [fam.besov_norm(f, BesovIndex(2.5, 2, 2)) for f in traj.fields]
-    assert base == pytest.approx(SLOW_PATH_U_BESOV, rel=1e-9)
+    assert list(traj.series["besov_base"]) == pytest.approx(SLOW_PATH_U_BESOV, rel=1e-9)
 
 
 def test_small_data_contracts_geometrically():
@@ -105,11 +101,19 @@ def test_fixed_point_matches_stepper():
     assert err <= 1e-6
 
 
-def test_divergence_free_samples():
+def test_divergence_free_samples(monkeypatch):
+    """Every state a sweep evaluates the nonlinearity at, and the final one."""
+    import lanslab.picard as picard
+
+    states = []
+    original = picard.nonlinearity_V
+    monkeypatch.setattr(picard, "nonlinearity_V", lambda u, *a: states.append(u) or original(u, *a))
     cfg = picard_cfg()
     traj, rep = picard_solve(cfg.initial_field(), cfg)
     assert rep.converged
-    for f in traj.fields:
+    # the 8x4 nodes in the pass on Gamma u0 and in every pass but the last
+    assert len(states) == 8 * 4 * rep.iterates
+    for f in [*states, traj.final()]:
         assert div_l2_residual(to_real(f)) <= 1e-10
 
 
@@ -168,16 +172,23 @@ def test_sweep_matches_full_spectrum_reference(case):
     floor = 1e-11 * want.residuals[0]
     for got, expected in zip(rep.residuals, want.residuals):
         assert abs(got - expected) <= 1e-6 * expected + floor
-    assert np.array_equal(traj.times, want_traj.times)
+    # the trajectory holds the base norms at every output time and the final state
+    assert np.array_equal(traj.series["besov_t"], want_traj.times)
+    fam = build_dyadic_family(cfg.grid)
+    idx = BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q)
+    want_base = [fam.besov_norm(f, idx) for f in want_traj.fields]
+    assert list(traj.series["besov_base"]) == pytest.approx(want_base, rel=1e-12)
     largest = max(np.max(np.abs(f.coeffs)) for f in want_traj.fields[1:])
-    for got, expected in zip(traj.fields[1:], want_traj.fields[1:]):
-        assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-13 * largest
+    assert traj.times.tolist() == [cfg.T]
+    got, expected = traj.final().coeffs, want_traj.final().coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-13 * largest
 
 
 @pytest.mark.filterwarnings(COVERAGE_WARNING)
 def test_sweep_memory_per_output_time():
-    """Peak traced memory grows by at most 2 full states per output time
-    from 2x2 to 8x4 nodes (the full-spectrum reference grows by 5.8)."""
+    """Peak traced memory grows by at most 1 full state per output time
+    from 2x2 to 8x4 nodes (the full-spectrum reference grows by 5.8, and
+    1.20 when the last pass kept its states for the trajectory)."""
 
     def peak(panels, nodes_per_panel):
         cfg = picard_cfg(picard=PicardParams(max_iter=2, panels=panels,
@@ -193,7 +204,7 @@ def test_sweep_memory_per_output_time():
     peak(2, 2)  # warm-up: dyadic family, wavevector tables
     state = 3 * 16**3 * 16  # bytes of one complex velocity spectrum at N = 16
     per_output = (peak(8, 4) - peak(2, 2)) / ((8 * 4 + 1) - (2 * 2 + 1)) / state
-    assert per_output <= 2.0
+    assert per_output <= 1.0
 
 
 @pytest.mark.filterwarnings(COVERAGE_WARNING)

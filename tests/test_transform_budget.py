@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lanslab import _fft
-from lanslab.dyadic import BesovIndex, build_dyadic_family
+from lanslab.dyadic import build_dyadic_family
 from lanslab.dynamics import nonlinearity_V, reynolds_stress_divergence
 from lanslab.fields import random_band_mixture, random_divergence_free, to_spectral
 from lanslab.grid import Grid
@@ -142,20 +142,26 @@ def test_solve_makes_no_c2c_transform(counted):
     assert counted == []
 
 
-def test_picard_trajectory_norms_are_memoized(counted):
+def test_picard_trajectory_norms_are_memoized(counted, monkeypatch):
+    import lanslab.picard as picard
+
+    marks = []
+    original = picard.duhamel_on_nodes
+    monkeypatch.setattr(
+        picard, "duhamel_on_nodes", lambda *a: marks.append(len(counted)) or original(*a)
+    )
     cfg = SolverConfig(
         n=3, N=16, T=0.1, initial=InitialSpec("taylor_green", 0.02),
         picard=PicardParams(max_iter=3, panels=2, nodes_per_panel=2),
     )
     assert cfg.besov.p == cfg.besov.p_tilde
     traj, _ = picard_solve(cfg.initial_field(), cfg)
-    fam = build_dyadic_family(cfg.grid)
-    counted.clear()
-    # the iterates after the initial data: their auxiliary norms, taken in
-    # the last sweep at the same p, hold the base norms' block norms too
-    for f in traj.fields[1:]:
-        fam.besov_norm(f, BesovIndex(cfg.besov.r, cfg.besov.p, cfg.besov.q))
-    assert counted == []
+    # after the last quadrature, one block evaluation (5 inverses at N = 16)
+    # per output time for its auxiliary norm, whose block norms its base
+    # norm reuses at the same p, and one for u0's base norm
+    outputs = 2 * 2 + 1
+    assert counted[marks[-1]:] == [5 * cfg.grid.npoints] * (outputs + 1)
+    assert len(traj.series["besov_base"]) == outputs + 1
 
 
 @pytest.mark.filterwarnings("ignore:field has spectral content")
