@@ -18,14 +18,13 @@ components and dyadic blocks in a single call.  The worker count is a
 performance knob only; results are bitwise independent of it.
 `overwrite=True` lets a c2c transform reuse its complex input's buffer.
 
-The real transforms live on the 2/3 rule's cube |k_i| <= N//3 (Orszag
-1971): `rfftn` returns the spectrum there and `irfftn` takes it, zero
-beyond.  The cube holds 2 (N//3) + 1 modes in fft order (k = 0..N//3, then
--N//3..-1) along each full axis and N//3 + 1 along the last.  One r2c (c2r)
-pass runs along the last axis and c2c passes only on the lines that reach
-the cube or carry data (FFT pruning, Markel 1971).  Each forward pass scales
-by its own 1/n, exactly as N is a power of two, so results are bitwise
-scipy.fft's `rfftn` on the cube, or `irfftn` of the zero-padded cube.
+The real transforms live on the 2/3 rule's cube (Orszag 1971), laid out
+as `grid.cube_modes` gives it: `rfftn` returns the spectrum there and
+`irfftn` takes it, zero beyond.  One r2c (c2r) pass runs along the last
+axis and c2c passes only on the lines that reach the cube or carry data
+(FFT pruning, Markel 1971).  Each forward pass scales by its own 1/n,
+exactly as N is a power of two, so results are bitwise scipy.fft's `rfftn`
+on the cube, or `irfftn` of the zero-padded cube.
 Below the wrappers is the pairing rule that puts two real fields in one
 c2c transform; it transforms nothing itself.
 """
@@ -180,12 +179,12 @@ def unpack_spectra(Z, count, modes, mirror):
     """Spectra of the `count` real fields whose paired stack has the
     forward transforms `Z`, at the flat lattice indices `modes` only;
     `mirror` holds the flat indices of -k in the same order.  Shape
-    (count, len(modes))."""
+    (count, *modes.shape)."""
     half = len(Z)
     flat = Z.reshape(half, -1)
     at_k = flat[:, modes]
     at_minus_k = np.conjugate(flat[:, mirror])
-    out = np.empty((count, len(modes)), dtype=complex)
+    out = np.empty((count,) + modes.shape, dtype=complex)
     np.add(at_k, at_minus_k, out=out[:half])
     out[:half] *= 0.5
     np.subtract(at_k[: count - half], at_minus_k[: count - half], out=out[half:])

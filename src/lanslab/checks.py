@@ -65,7 +65,7 @@ class CheckReport:
     params: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        """The report in JSON values, an infinite float as "inf", `passed` as "pass"."""
+        """The report in JSON values, `passed` as "pass"."""
 
         def clean(x):
             if isinstance(x, (np.floating, np.integer)):
@@ -76,8 +76,6 @@ class CheckReport:
                 return {k: clean(v) for k, v in x.items()}
             if isinstance(x, (list, tuple)):
                 return [clean(v) for v in x]
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
             return x
 
         record = clean(asdict(self))

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +75,21 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _finite_json(x):
+    """`x` with each non-finite float spelled "inf", "-inf" or "nan": strict
+    JSON has no literal for them, and `read_json` refuses Python's."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    return x
+
+
 def write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_json(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -193,10 +206,11 @@ def _write_snapshots(cfg, traj, out_dir, manifest):
 
 def cmd_solve(args):
     cfg = _load_config(args)
+    u0 = cfg.initial_field()
     out_dir, manifest = _open_output(args, "solve", cfg.to_dict(), cfg.seed)
     t0 = time.perf_counter()
     traj = solve_ivp(
-        cfg.initial_field(),
+        u0,
         cfg,
         sample_stride=cfg.snapshot_stride,
         besov_stride=cfg.csv_stride,
@@ -209,12 +223,13 @@ def cmd_solve(args):
 
 
 def cmd_picard(args):
-    from .picard import picard_solve
+    from .picard import initial_spectrum, picard_solve
 
     cfg = _load_config(args)
+    u0 = initial_spectrum(cfg.initial_field(), cfg)
     out_dir, manifest = _open_output(args, "picard", cfg.to_dict(), cfg.seed)
     t0 = time.perf_counter()
-    traj, report = picard_solve(cfg.initial_field(), cfg)
+    traj, report = picard_solve(u0, cfg)
     manifest.data["timings_s"]["picard"] = time.perf_counter() - t0
     write_json(out_dir / "picard_report.json", report.to_dict())
     manifest.add_output("picard_report.json")
@@ -346,7 +361,7 @@ def _sweep_grid(cfg, values, out_dir):
 
 def _sweep_values(cfg, args):
     """The --values as floats: finite, ascending, and each one accepted by
-    the config on the swept axis."""
+    the config on the swept axis; an amplitude also by `initial_spectrum`."""
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ConfigError(f"--t-max: {args.t_max} is not a positive finite number")
     if args.axis == "amplitude":  # the horizons it probes are T up to --t-max
@@ -360,7 +375,12 @@ def _sweep_values(cfg, args):
             value = float(text)
             if not math.isfinite(value) or args.axis == "N" and not value.is_integer():
                 raise ValueError("need a finite number, an integer for N")
-            if args.axis != "amplitude":
+            if args.axis == "amplitude":
+                from .picard import initial_spectrum
+
+                run = cfg.with_updates(initial=replace(cfg.initial, amplitude=value))
+                initial_spectrum(run.initial_field(), run)
+            else:
                 cfg.with_updates(**{args.axis: int(value) if args.axis == "N" else value})
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"--values: {args.axis}={text}: {exc}") from None
@@ -423,7 +443,7 @@ def cmd_lp_analyze(args):
     with open(out_dir / "norms.jsonl", "w", newline="\n") as fh:
         for idx in indices:
             rec = norm_report_record(fam, f, idx, field_id=Path(args.field).name)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(_finite_json(rec), sort_keys=True, allow_nan=False) + "\n")
     manifest.add_output("norms.jsonl")
     manifest.finish(out_dir)
     return EXIT_OK

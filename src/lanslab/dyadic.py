@@ -13,7 +13,7 @@ or past the cutoff's end), so the low-pass block is the mean of the field.
 
 The dyadic range is finite: fields are expected (or dealiased) to carry
 their spectrum inside the resolved annuli; a warning fires, once per field
-(once per call for a spectrum held on the 2/3-rule modes), when a norm is
+(once per call for a spectrum held on the 2/3 rule's cube), when a norm is
 requested for a field with appreciable content beyond the covered ball.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _fft
 from .fields import SpectralField, like, lp_norm, to_spectral
-from .grid import kept_modes, kmag, on_kept
+from .grid import at_cube, cube_weights, kmag, on_cube
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -175,21 +175,20 @@ class DyadicFamily:
     # -- norms ------------------------------------------------------------
 
     @cached_property
-    def _kept_tables(self):
-        """psi_j^2 and the uncovered weight (1 - s_hat[-1])^2 on the modes
-        the 2/3 rule keeps, in `grid.kept_modes` order."""
-        kept, _ = kept_modes(self.grid)
-        psi2 = self.psi_hat.reshape(self.j_max + 1, -1)[:, kept] ** 2
-        outside = (1.0 - self.s_hat[-1].reshape(-1)[kept]) ** 2
-        return psi2, outside
+    def _cube_tables(self):
+        """psi_j^2, (1 - s_hat[-1])^2 and the Parseval weight on the cube, flattened."""
+        psi2 = at_cube(self.grid, self.psi_hat).reshape(self.j_max + 1, -1) ** 2
+        outside = (1.0 - at_cube(self.grid, self.s_hat[-1]).ravel()) ** 2
+        return psi2, outside, cube_weights(self.grid).ravel()
 
-    def _covered_power(self, values, outside):
-        """sum_c |values_c|^2 per mode, flattened.  Warns when more than
-        COVERAGE_WARN_FRACTION of the L^2 norm lies beyond the dyadic range:
-        `outside` is (1 - s_hat[-1])^2 at the same modes.  Every norm path
-        warns from this one line."""
+    def _covered_power(self, values, outside, weight):
+        """`weight` (1 on the lattice) times sum_c |values_c|^2 per mode,
+        flattened.  Warns when more than COVERAGE_WARN_FRACTION of the L^2
+        norm lies beyond the dyadic range: `outside` is (1 - s_hat[-1])^2
+        at the same modes.  Every norm path warns from this one line."""
         re, im = values.real, values.imag
         power = (np.einsum("c...,c...->...", re, re) + np.einsum("c...,c...->...", im, im)).ravel()
+        power *= weight
         total = float(np.sum(power))
         # einsum, not np.dot, keeps threaded BLAS out of it
         if total and float(np.einsum("i,i->", power, outside)) > COVERAGE_WARN_FRACTION**2 * total:
@@ -208,7 +207,7 @@ class DyadicFamily:
             if not memo:
                 # the weight is formed per call (a stored N^n table costs
                 # more memory than it saves)
-                self._covered_power(F.coeffs, ((1.0 - self.s_hat[-1]) ** 2).ravel())
+                self._covered_power(F.coeffs, ((1.0 - self.s_hat[-1]) ** 2).ravel(), 1.0)
             block_norms = np.array([lp_norm(b, p) for b in self.block_samples(F)[1]])
             block_norms.setflags(write=False)
             mean = F.coeffs.reshape(F.ncomp, -1)[:, 0].real
@@ -239,28 +238,28 @@ class DyadicFamily:
 
     def kept_besov_norms(self, values, *indices):
         """Besov norms, one per index, of the real field whose spectrum is
-        `values` (ncomp, M) on the modes the 2/3 rule keeps, in
-        `grid.kept_modes` order, and 0 elsewhere.
+        `values` (ncomp, *cube shape) on the 2/3 rule's cube
+        (`grid.cube_modes`), their conjugates at -k and 0 elsewhere.
 
         At p = 2 no field is formed: by Parseval ||Delta_j f||_2^2 =
-        sum_k psi_j(k)^2 |f_hat(k)|^2, a dot product with psi_j^2 on the
-        kept modes, and the low-pass block is |f_hat(0)| (k = 0 is the first
-        kept mode).  The coverage rule is that of `block_lp_norms`, applied
-        per call.  Other p scatter the spectrum (`on_kept`) once and take
-        `besov_norm`.
+        sum_k psi_j(k)^2 |f_hat(k)|^2, a dot product with `grid.cube_weights`
+        psi_j^2 on the cube, and the low-pass block is |f_hat(0)| (k = 0 is
+        the cube's first mode).  The coverage rule is that of
+        `block_lp_norms`, applied per call.  Other p complete the spectrum
+        (`grid.on_cube`) once and take `besov_norm`.
         """
         norms, low, blocks, F = [], None, None, None
         for idx in indices:
             if idx.p != 2:
                 if F is None:
-                    F = SpectralField(self.grid, on_kept(self.grid, values))
+                    F = SpectralField(self.grid, on_cube(self.grid, values))
                 norms.append(self.besov_norm(F, idx))
                 continue
             if blocks is None:
-                psi2, outside = self._kept_tables
-                power = self._covered_power(values, outside)
+                psi2, outside, weight = self._cube_tables
+                power = self._covered_power(values, outside, weight)
                 blocks = np.sqrt(np.einsum("jm,m->j", psi2, power))
-                low = float(np.linalg.norm(values[:, 0].real))
+                low = float(np.linalg.norm(values.reshape(len(values), -1)[:, 0].real))
             norms.append(low + self._lq(blocks, idx))
         return norms
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import _fft
 from .errors import GridMismatchError
 from .fields import dealias_array, like, to_spectral
-from .grid import kept_modes, ksq, on_kept, wavevectors
+from .grid import at_cube, cube_modes, ksq, on_cube, wavevectors
 
 
 def _velocity_spectrum(u, what):
@@ -86,18 +86,18 @@ def _samples(coeffs, grid, terms):
 
 
 def _stress_hat(coeffs, grid, a2, with_velocity):
-    """tau_hat on the kept modes (`grid.kept_modes`), shape (n, n, M),
-    from the velocity spectrum; with the velocity samples (n, N, ..., N)
-    when `with_velocity`, else None.
+    """tau_hat on the 2/3 rule's cube (`grid.cube_modes`), shape (n, n,
+    *cube shape), from the velocity spectrum; with the velocity samples
+    (n, N, ..., N) when `with_velocity`, else None.
 
     One paired inverse gives J[i, j] = d_j u_i (and u).  The product
     Def . Om is formed slab by slab straight into a paired stack, which is
-    transformed in place and unpacked on the kept modes only, where the
-    filter alpha^2/(1 + alpha^2 |k|^2) is applied; off them the 2/3 rule
-    zeroes tau.  The product of a symmetric and an antisymmetric matrix is
-    trace free, so its last diagonal entry is not transformed: tau_nn =
-    -sum_{i<n} tau_ii.  At n = 3: 5 inverses (6 with u) and 4 forward
-    transforms of N^n points.
+    transformed in place and unpacked on the cube only, where the filter
+    alpha^2/(1 + alpha^2 |k|^2) is applied; off the kept modes the 2/3
+    rule zeroes tau.  The product of a symmetric and an antisymmetric
+    matrix is trace free, so its last diagonal entry is not transformed:
+    tau_nn = -sum_{i<n} tau_ii.  At n = 3: 5 inverses (6 with u) and 4
+    forward transforms of N^n points.
     """
     n, shape = grid.n, grid.shape
     velocity = [(i, None) for i in range(n)] if with_velocity else []
@@ -114,22 +114,18 @@ def _stress_hat(coeffs, grid, a2, with_velocity):
         _fft.pack(slab_prod.reshape((n * n,) + jac.shape[2:])[:count], prod[:, part])
     del samples, jac, slab_prod
     prod = _fft.fftn(prod, n, overwrite=True)
-    kept, mirror = kept_modes(grid)
-    total = np.empty((n * n, kept.size), dtype=complex)
-    total[:count] = _fft.unpack_spectra(prod, count, kept, mirror)
+    total = np.empty((n * n,) + cube_modes(grid).shape[1:], dtype=complex)
+    total[:count] = _fft.unpack_spectra(prod, count, *cube_modes(grid))
     del prod
     np.negative(np.sum(total[:count : n + 1], axis=0), out=total[count])  # trace free
-    total *= _stress_filter(a2, ksq(grid).reshape(-1)[kept])
-    return total.reshape(n, n, -1), u
+    total *= _stress_filter(a2, at_cube(grid, ksq(grid)))
+    return total.reshape((n, n) + total.shape[1:]), u
 
 
 def _divergence_like(u, tensor_hat):
-    """(div T)_i = sum_j d_j T_ij from T_hat on the kept modes, of the
-    same kind as u; zero off the kept modes."""
-    grid = u.grid
-    kept, _ = kept_modes(grid)
-    ik = 1j * wavevectors(grid).reshape(grid.n, -1)[:, kept]
-    return like(u, on_kept(grid, np.einsum("jm,ijm->im", ik, tensor_hat)))
+    """(div T)_i = sum_j d_j T_ij from T_hat on the cube, of u's kind, 0 off the kept modes."""
+    ik = 1j * at_cube(u.grid, wavevectors(u.grid))
+    return like(u, on_cube(u.grid, np.einsum("j...,ij...->i...", ik, tensor_hat)))
 
 
 def reynolds_stress_divergence(u, alpha):
@@ -152,11 +148,11 @@ def nonlinearity_V(u, alpha):
     inverse gives u and, at alpha > 0, its gradient, which `_stress_hat`
     turns into the stress spectrum.  The flux u (x) u is formed in
     physical space on its upper triangle, dealiased there by
-    `dealias_array` and transformed; both spectra are unpacked on the kept
-    modes only, summed and contracted with ik once, so the result is zero
-    off the 2/3 mask.  Spectral input at n = 3 takes 19 transforms of N^n
-    points (11 at alpha = 0): u and J (6), the stress product (4) and the
-    flux's dealias round trip and transform (3 + 3 + 3).
+    `dealias_array` and transformed; both spectra are unpacked on the cube
+    only, summed, contracted with ik once and completed (`grid.on_cube`),
+    so the result is zero off the 2/3 mask.  Spectral input at n = 3 takes
+    19 transforms of N^n points (11 at alpha = 0): u and J (6), the stress
+    product (4) and the flux's dealias round trip and transform (3 + 3 + 3).
 
     Bilinear in u at alpha = 0: V(lam u) = lam^2 V(u) exactly.
     """
@@ -175,9 +171,8 @@ def nonlinearity_V(u, alpha):
         np.multiply(phys[i], phys[j], out=row)
     del phys
     flux = dealias_array(grid, flux)
-    kept, mirror = kept_modes(grid)
     flux_hat = _fft.unpack_spectra(
-        _fft.fftn(_fft.pack(flux), n, overwrite=True), len(flux), kept, mirror
+        _fft.fftn(_fft.pack(flux), n, overwrite=True), len(flux), *cube_modes(grid)
     )
     del flux
     slot = np.empty((n, n), dtype=int)

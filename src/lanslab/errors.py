@@ -46,6 +46,5 @@ class BlowUpError(LansLabError):
         self.t = t
         self.norm = norm
         self.threshold = threshold
-        super().__init__(
-            f"blow-up guard tripped at t={t:.6g}: ||u||_2={norm:.6g} > {threshold:.3g}"
-        )
+        bound = f"> {threshold:.3g}" if norm > threshold else "is not finite"
+        super().__init__(f"blow-up guard tripped at t={t:.6g}: ||u||_2={norm:.6g} {bound}")

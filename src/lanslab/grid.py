@@ -5,7 +5,8 @@ Fourier mode e^{ik.x} then has unit L^2 norm and coefficient tables can be
 checked against closed forms without volume factors.
 
 Frequency layout follows numpy's fftn convention: integer frequencies
-k_i in {-N/2, ..., N/2 - 1} along each axis, stored in fft order.
+k_i in {-N/2, ..., N/2 - 1} along each axis, stored in fft order, and
+band-limited spectra are held on the 2/3 rule's cube (`cube_modes`).
 """
 
 from dataclasses import dataclass
@@ -102,21 +103,35 @@ def dealias_mask(grid):
 
 
 @lru_cache(maxsize=None)
-def kept_modes(grid):
-    """Flat indices of the modes the 2/3 rule keeps and, in the same order,
-    of their mirror images -k (the kept set is symmetric; 28% of the
-    lattice at n = 3)."""
-    kept = np.flatnonzero(dealias_mask(grid))
-    axes = np.unravel_index(kept, grid.shape)
-    mirror = np.ravel_multi_index(tuple(-i % grid.N for i in axes), grid.shape)
-    for arr in (kept, mirror):
-        arr.setflags(write=False)
-    return kept, mirror
+def cube_modes(grid):
+    """Flat lattice indices of the 2/3 rule's cube, the half k_n >= 0 of the
+    kept modes in the shape and order of `_fft.rfftn`'s output (15% of the
+    lattice at n = 3), and of their mirror images -k in the same order."""
+    N, kc = grid.N, grid.N // 3
+    index = np.ix_(*([np.r_[0 : kc + 1, N - kc : N]] * (grid.n - 1) + [np.arange(kc + 1)]))
+    flat = np.arange(grid.npoints).reshape(grid.shape)
+    out = np.stack([flat[index], flat[tuple(-i % N for i in index)]])
+    out.setflags(write=False)
+    return out
 
 
-def on_kept(grid, values):
-    """The spectrum (ncomp, N, ..., N) equal to `values` (ncomp, M) on the
-    kept modes, in `kept_modes` order, and 0 elsewhere."""
-    out = np.zeros((len(values), grid.npoints), dtype=complex)
-    out[:, kept_modes(grid)[0]] = values
-    return out.reshape((len(values),) + grid.shape)
+def at_cube(grid, table):
+    """The lattice table (..., N, ..., N) on the cube: (..., *cube shape)."""
+    return table.reshape(table.shape[: table.ndim - grid.n] + (-1,))[..., cube_modes(grid)[0]]
+
+
+def cube_weights(grid):
+    """Parseval weights on the cube: 2 where k_n > 0, for k and -k."""
+    return np.where(at_cube(grid, wavevectors(grid)[-1]) > 0, 2.0, 1.0)
+
+
+def on_cube(grid, values):
+    """The Hermitian spectra (ncomp, N, ..., N) equal to `values` on the
+    cube, to their conjugates at -k and 0 elsewhere; the plane k_n = 0,
+    which holds both, takes their mean (`values` for a Hermitian plane)."""
+    modes, mirror = cube_modes(grid)
+    out = np.zeros((len(values),) + grid.shape, dtype=complex)
+    out.reshape(len(values), -1)[:, mirror] = np.conjugate(values)
+    out.reshape(len(values), -1)[:, modes] += values
+    out[..., 0] *= 0.5
+    return out

@@ -17,12 +17,12 @@ rejects violations with a structured error.
 
 Every iterate is e^{t nu Lap} u0 minus a Duhamel correction, and P[V(u)]
 vanishes off the modes the 2/3 rule keeps, so the iterate is held as one
-correction stack on those modes (`grid.kept_modes`); so are the residual's
-difference and u - e^{t nu Lap} u0, normed there by
-`DyadicFamily.kept_besov_norms`.  One pass over the output times then forms
-each state once for its auxiliary norm and for the next sweep's forcing,
-or, in the last sweep (known by then), for its base norm, and drops it.
-Gamma u0 gets the same pass before the first sweep.
+correction stack on the stepper's cube (`grid.cube_modes`, completed by
+`grid.on_cube`); so are the residual's difference and u - e^{t nu Lap} u0,
+normed there by `DyadicFamily.kept_besov_norms`.  One pass over the output
+times then forms each state once for its auxiliary norm and for the next
+sweep's forcing, or, in the last sweep (known by then), for its base norm,
+and drops it.  Gamma u0 gets the same pass before the first sweep.
 """
 
 import math
@@ -32,9 +32,9 @@ import numpy as np
 
 from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, ConfigError
 from .fields import SpectralField, to_spectral
-from .grid import kept_modes, ksq
+from .grid import at_cube, cube_modes, ksq, on_cube
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
@@ -104,11 +104,28 @@ class PicardReport:
 _RESIDUAL_BAIL = 1e8
 
 
+def initial_spectrum(u0, cfg):
+    """u0's spectrum, once its base and auxiliary Besov norms are finite: a
+    finite amplitude can still overflow them, and every residual after them
+    would be NaN, so ConfigError names `initial.amplitude` instead.  The
+    norms are memoized on the spectrum: a later norm of it is free."""
+    u0 = to_spectral(u0)
+    family, bz = build_dyadic_family(u0.grid), cfg.besov
+    for idx in (BesovIndex(bz.r, bz.p, bz.q), BesovIndex(bz.s, bz.p_tilde, bz.q)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = family.besov_norm(u0, idx)
+        if not math.isfinite(norm):
+            raise ConfigError(f"config key 'initial.amplitude': the initial data's Besov norm "
+                              f"(s={idx.s}, p={idx.p}, q={idx.q}) is {norm}, not finite")
+    return u0
+
+
 def picard_solve(u0, cfg):
     """Iterate the mild-formulation map to a fixed point on [0, cfg.T].
 
     u0 is taken as given, divergence-free as every `InitialSpec` kind is;
-    unlike `solve_ivp`, this does not project it.
+    unlike `solve_ivp`, this does not project it.  A u0 whose base or
+    auxiliary norm is not finite raises ConfigError (`initial_spectrum`).
 
     Returns (Trajectory, PicardReport); `converged` is False when the
     residual fails to fall below cfg.picard.tol within cfg.picard.max_iter
@@ -132,34 +149,33 @@ def picard_solve(u0, cfg):
     weights = out_times**a
     k2 = ksq(grid)
     nu = cfg.nu
-    # the correction and the forcing are held on the modes the 2/3 rule keeps
-    kept, _ = kept_modes(grid)
-    u0 = to_spectral(u0)
+    state_shape = (grid.n,) + cube_modes(grid)[0].shape  # of the correction and the forcing
+    u0 = initial_spectrum(u0, cfg)
 
     def state_pass(corr, last):
         """Form each iterate state e^{t nu Lap} u0 - corr once and take its
-        auxiliary norm; then write the node's forcing P V(u) on the kept
-        modes (T itself is not a node) or, in the last sweep, take its base
-        norm (at p = p~ from the same block norms) and drop it.  Returns
-        (auxiliary norms, forcing, base norms, state at T): the last sweep
-        has no forcing, an earlier one neither base norms nor a state."""
+        auxiliary norm; then write the node's forcing P V(u) on the cube (T
+        itself is not a node) or, in the last sweep, take its base norm (at
+        p = p~ from the same block norms) and drop it.  Returns (auxiliary
+        norms, forcing, base norms, state at T): the last sweep has no
+        forcing, an earlier one neither base norms nor a state."""
         aux, base = [], []
-        forc = None if last else np.empty((tg.flat_nodes.size, grid.n, kept.size), dtype=complex)
+        forc = None if last else np.empty((tg.flat_nodes.size,) + state_shape, complex)
         for i, t in enumerate(out_times):
             coeffs = np.exp((-nu * t) * k2) * u0.coeffs
-            coeffs.reshape(grid.n, -1)[:, kept] -= corr[i]
+            coeffs -= on_cube(grid, corr[i])
             u = SpectralField(grid, coeffs)
             aux.append(family.besov_norm(u, idx_aux))
             if last:
                 base.append(family.besov_norm(u, idx_base))
             elif i < len(forc):
                 V = stokes_project(nonlinearity_V(u, cfg.alpha), cfg.alpha).coeffs
-                np.take(V.reshape(grid.n, -1), kept, axis=1, out=forc[i])
+                forc[i] = at_cube(grid, V)
                 del V  # freed before the next node's nonlinearity runs
         return np.array(aux), forc, base, u if last else None
 
     # the iterate is gamma = e^{t nu Lap} u0 minus this correction
-    corr = np.zeros((len(out_times), grid.n, kept.size), dtype=complex)
+    corr = np.zeros((len(out_times),) + state_shape, dtype=complex)
     gamma_aux, forc, _, _ = state_pass(corr, last=False)
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
@@ -167,10 +183,10 @@ def picard_solve(u0, cfg):
     residuals, ratios, membership, membership_ok = [], [], [], []
     for sweeps in range(1, pp.max_iter + 1):
         new = duhamel_on_nodes(forc.reshape(tg.nodes.shape + forc.shape[1:]), tg, nu,
-                               k2.reshape(-1)[kept], out_times)
+                               at_cube(grid, k2), out_times)
         del forc
         # the residual's difference is corr - new and u - gamma is -new, both
-        # on the kept modes
+        # on the cube
         rows = [family.kept_besov_norms(c - n, idx_base, idx_aux)
                 + family.kept_besov_norms(n, idx_base) for c, n in zip(corr, new)]
         corr = new  # the old correction is freed: one stack is held

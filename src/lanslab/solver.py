@@ -26,8 +26,8 @@ import numpy as np
 from . import _fft
 from .dynamics import _slabs, _stress_filter, _stress_product
 from .errors import BlowUpError, ConfigError
-from .fields import VectorField, taylor_green, zero_field
-from .grid import Grid
+from .fields import SpectralField, VectorField, taylor_green, zero_field
+from .grid import Grid, at_cube, cube_weights, ksq, ksq_safe, on_cube, wavevectors
 from .operators import leray_project
 
 
@@ -193,7 +193,11 @@ class SolverConfig:
         return max(1, round(self.T / self.dt))
 
     def initial_field(self):
-        return self.initial.build(self.grid, seed=self.seed)
+        try:
+            return self.initial.build(self.grid, seed=self.seed)
+        except ValueError as exc:  # samples the amplitude scales past the float range
+            raise ConfigError(f"config key 'initial.amplitude': {exc}, "
+                              f"got {self.initial.amplitude!r}") from None
 
     def to_dict(self):
         return asdict(self)
@@ -289,30 +293,24 @@ class Trajectory:
 
 
 class SpectralStepper:
-    """Integrating-factor RK4 stepper on the 2/3 rule's cube of modes, the
-    spectra `_fft.rfftn` returns."""
+    """Integrating-factor RK4 stepper on the 2/3 rule's cube of modes
+    (`grid.cube_modes`), the spectra `_fft.rfftn` returns."""
 
     def __init__(self, grid, alpha, nu, dt):
         self.grid = grid
         self.alpha = float(alpha)
         self.nu = float(nu)
         self.dt = float(dt)
-        n, kc = grid.n, grid.N // 3
-        k = np.r_[0 : kc + 1, -kc:0].astype(float)  # a full axis of the cube
-        mesh = np.meshgrid(*([k] * (n - 1) + [k[: kc + 1]]), indexing="ij")
-        kv = np.stack(mesh)
-        k2 = np.sum(kv**2, axis=0)
+        kv, k2 = at_cube(grid, wavevectors(grid)), at_cube(grid, ksq(grid))
         # The multiplier tables are complex so that they scale complex
         # arrays without a per-call cast (the products are unchanged).
         self.kv = kv.astype(complex)
         self.ik = 1j * kv
-        self.kv_k2 = (kv / np.where(k2 > 0, k2, 1.0)).astype(complex)  # k/|k|^2, 0 at k = 0
+        self.kv_k2 = (kv / at_cube(grid, ksq_safe(grid))).astype(complex)  # k/|k|^2, 0 at k = 0
         # the divergence of tau_hat from the transformed stress product
         self.ik_tau = self.ik * _stress_filter(self.alpha**2, k2)
-        # Parseval weights (2 where kz > 0 stands for +-k), times 1, |k|^2
-        # and the Helmholtz symbol for the L^2, gradient and energy diagnostics.
-        w = np.where(mesh[-1] > 0, 2.0, 1.0)
-        self.weights = np.stack([w, w * k2, w * (1.0 + self.alpha**2 * k2)])
+        # Parseval weights times 1, |k|^2, 1 + alpha^2 |k|^2: L^2, gradient, energy
+        self.weights = cube_weights(grid) * np.stack([k2**0, k2, 1.0 + self.alpha**2 * k2])
         self.e_full = np.exp(-self.nu * k2 * self.dt).astype(complex)
         self.e_half = np.exp(-self.nu * k2 * self.dt / 2.0).astype(complex)
         self.shape = grid.shape
@@ -416,7 +414,9 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
     Its fields are the states every `sample_stride` steps (by default
     about 100 of them) and the final state; sample_stride = 0 keeps the
     final state only.
-    Raises BlowUpError when the L^2 norm crosses cfg.blowup_threshold.
+    The Besov rows norm the state's spectrum completed by `grid.on_cube`.
+    Raises BlowUpError when the L^2 norm, that of u0 included, is not
+    finite or crosses cfg.blowup_threshold.
     """
     grid = cfg.grid
     if u0.grid != grid:
@@ -447,19 +447,16 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
         t_series[i] = t
         for key, value in zip(cols, diag):
             cols[key][i] = value
-        keep_sample = i == nsteps or (sample_stride > 0 and i % sample_stride == 0)
-        if keep_sample:
+        if i == nsteps or (sample_stride > 0 and i % sample_stride == 0):
             times.append(t)
             fields.append(stepper.to_field(state))
         if besov_idx is not None and (i % besov_stride == 0 or i == nsteps):
-            f = fields[-1] if keep_sample else stepper.to_field(state)
-            besov_rows.append(
-                (i, t, family.besov_norm(f, besov_idx[0]), family.besov_norm(f, besov_idx[1]))
-            )
+            f = SpectralField(grid, on_cube(grid, state))
+            besov_rows.append((i, t, *(family.besov_norm(f, idx) for idx in besov_idx)))
 
-    record(0, 0.0, state, stepper.diagnostics(state))
-    for i in range(1, nsteps + 1):
-        state = stepper.step(state)
+    for i in range(nsteps + 1):
+        if i:
+            state = stepper.step(state)
         t = i * dt
         diag = stepper.diagnostics(state)
         nrm = diag[1]

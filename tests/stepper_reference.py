@@ -6,6 +6,9 @@ scipy's, in lanslab's coefficient convention (norm="forward"), so the
 reference does not run through the `lanslab._fft` wrappers it checks.
 `tests/test_solver.py` holds the cube stepper bitwise to it on states that
 are zero beyond the cube (`helpers.half_of` pads a cube state with zeros).
+
+`meshgrid_tables` builds the cube stepper's multiplier tables as it did
+before `lanslab.grid` held the cube: from a meshgrid of the cube's axes.
 """
 
 import numpy as np
@@ -110,3 +113,24 @@ class HalfSpectrumStepper:
         k2 *= dt / 6.0
         k2 += e2_state
         return k2
+
+
+def meshgrid_tables(grid, alpha, nu, dt):
+    """The cube stepper's tables by name, each built from a meshgrid of
+    the cube's wavenumbers k = 0..N//3, -N//3..-1 (and 0..N//3 last)."""
+    n, kc = grid.n, grid.N // 3
+    k = np.r_[0 : kc + 1, -kc:0].astype(float)
+    mesh = np.meshgrid(*([k] * (n - 1) + [k[: kc + 1]]), indexing="ij")
+    kv = np.stack(mesh)
+    k2 = np.sum(kv**2, axis=0)
+    ik = 1j * kv
+    w = np.where(mesh[-1] > 0, 2.0, 1.0)
+    return {
+        "kv": kv.astype(complex),
+        "ik": ik,
+        "kv_k2": (kv / np.where(k2 > 0, k2, 1.0)).astype(complex),
+        "ik_tau": ik * _stress_filter(alpha**2, k2),
+        "weights": np.stack([w, w * k2, w * (1.0 + alpha**2 * k2)]),
+        "e_full": np.exp(-nu * k2 * dt).astype(complex),
+        "e_half": np.exp(-nu * k2 * dt / 2.0).astype(complex),
+    }

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dyadic_reference import dyadic_tables
 from helpers import constant_field
+from lanslab import _fft
 from lanslab.dyadic import (
     BesovIndex,
     DyadicFamily,
@@ -27,7 +28,7 @@ from lanslab.fields import (
     to_spectral,
     zero_field,
 )
-from lanslab.grid import Grid, kept_modes, kmag, on_kept
+from lanslab.grid import Grid, at_cube, kmag, on_cube
 
 
 def test_cutoff_plateaus_and_monotone():
@@ -323,16 +324,16 @@ def test_family_build_peak_memory_within_twice_its_tables():
     s=st.floats(-1.0, 3.0),
 )
 def test_kept_mode_norms_match_the_scattered_field(seed, n, N, q, s):
-    # the spectrum of a real field on the 2/3-rule modes, as Picard holds
-    # its corrections: Parseval at p = 2, the scattered field elsewhere
+    # the spectrum of a real field on the 2/3 rule's cube, as the stepper
+    # and Picard hold it: Parseval with the cube's weights at p = 2, the
+    # completed field elsewhere
     grid = Grid(n, N)
     fam = build_dyadic_family(grid)
-    kept, _ = kept_modes(grid)
     data = np.random.default_rng(seed).standard_normal((n,) + grid.shape)
-    values = to_spectral(VectorField(grid, data)).coeffs.reshape(n, -1)[:, kept]
+    values = _fft.rfftn(data, n)
     indices = [BesovIndex(s, p, q) for p in (2, 1, 3, math.inf)]
     fast = fam.kept_besov_norms(values, *indices)
-    slow = [fam.besov_norm(SpectralField(grid, on_kept(grid, values)), i) for i in indices]
+    slow = [fam.besov_norm(SpectralField(grid, on_cube(grid, values)), i) for i in indices]
     assert fast[0] == pytest.approx(slow[0], rel=1e-13)
     assert fast[1:] == slow[1:]  # bitwise: the same path
 
@@ -342,10 +343,9 @@ def test_kept_mode_norms_warn_as_the_scattered_field(family3d, ncomp):
     import warnings
 
     grid = family3d.grid
-    kept, _ = kept_modes(grid)
     data = np.random.default_rng(ncomp).standard_normal((ncomp,) + grid.shape)
-    noise = to_spectral(VectorField(grid, data)).coeffs.reshape(ncomp, -1)[:, kept]
-    inside = kmag(grid).reshape(-1)[kept] <= 2**family3d.j_max
+    noise = _fft.rfftn(data, grid.n)
+    inside = at_cube(grid, kmag(grid)) <= 2**family3d.j_max
     idx = BesovIndex(1.0, 2, 2)
     for tail, warns in ((0.0, 0), (1e-3, 1)):
         values = noise * np.where(inside, 1.0, tail)
@@ -353,7 +353,7 @@ def test_kept_mode_norms_warn_as_the_scattered_field(family3d, ncomp):
             warnings.simplefilter("always")
             family3d.kept_besov_norms(values, idx)
             fast = len(caught)
-            family3d.besov_norm(SpectralField(grid, on_kept(grid, values)), idx)
+            family3d.besov_norm(SpectralField(grid, on_cube(grid, values)), idx)
         assert fast == len(caught) - fast == warns
 
 
@@ -368,8 +368,7 @@ def test_large_finite_q_sums_relative_to_the_largest_term(amplitude):
     grid = Grid(2, 16)
     fam = build_dyadic_family(grid)
     f = taylor_green(grid, amplitude)
-    kept, _ = kept_modes(grid)
-    values = to_spectral(f).coeffs.reshape(2, -1)[:, kept]
+    values = _fft.rfftn(f.data, 2)
     low, blocks = fam.block_lp_norms(f, 2)
     terms = 2.0 ** (2.5 * np.arange(fam.j_max + 1)) * blocks
     sup = fam.besov_norm(f, BesovIndex(2.5, 2, math.inf))

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lanslab.checks import CHECKS, check_parameters, parse_params
-from lanslab.cli import main
+from lanslab.cli import main, read_json
 from lanslab.errors import ConfigError
 from lanslab.solver import SolverConfig, config_from_dict
 
@@ -177,13 +177,74 @@ def test_nan_ratio_fails_the_report_with_nan_constant(tmp_path, capsys, case):
     suite = {"checks": [{"id": cid, "params": {"n": 2, "N": 8, **params}}]}
     code, _, out = _run(tmp_path, "verify", suite, capsys)
     assert code == 5
-    record = json.loads((out / "verify_report.json").read_text())["checks"][0]
-    assert record["pass"] is False and math.isnan(record["max_ratio"])
+    # strict JSON, which has no NaN literal: the report spells it "nan"
+    record = read_json(out / "verify_report.json")["checks"][0]
+    assert record["pass"] is False and record["max_ratio"] == "nan"
     if cid == "bony_bounds":
-        assert not math.isnan(record["ratios"][0]) and any(map(math.isnan, record["ratios"]))
+        assert record["ratios"][0] != "nan" and "nan" in record["ratios"]
     else:
-        assert math.isnan(record["details"]["integrability_max"])
-        assert not math.isnan(record["ratios"][0])
+        assert record["details"]["integrability_max"] == "nan"
+        assert record["ratios"][0] != "nan"
+
+
+# A huge finite amplitude: the initial data's samples, its norms or the
+# stepper's first diagnostics overflow.  Each run ended in a traceback
+# (exit 1) or exited 0 or 4 with NaN in its output.
+SMALL = {"n": 2, "N": 8, "T": 0.01, "dt": 0.005}
+AMPLITUDE_PROBES = {
+    # the L^2 norm at t = 0 is not finite: the blow-up guard, exit 3
+    "solve_taylor_green": ("solve", {"initial": {"kind": "taylor_green", "amplitude": 1e308}}, 3),
+    "verify_energy_monotone": (
+        "verify",
+        {"checks": [{"id": "energy_monotone",
+                     "params": {"n": 2, "N": 16, "T": 0.01, "amplitude": 1e308}}]},
+        3,
+    ),
+    # the samples overflow as the amplitude scales them
+    "solve_random_band": ("solve", {"initial": {"kind": "random_band", "amplitude": 1e308}}, 2),
+    # u0's Besov norms overflow
+    "picard_random_divfree": (
+        "picard", {"initial": {"kind": "random_divfree", "amplitude": 1e200}}, 2
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(AMPLITUDE_PROBES))
+def test_huge_amplitude_ends_in_an_exit_code(tmp_path, capsys, case):
+    command, update, want = AMPLITUDE_PROBES[case]
+    doc = update if command == "verify" else {**SMALL, **update}
+    code, err, out = _run(tmp_path, command, doc, capsys)
+    assert code == want, err
+    if want == 2:
+        assert "'initial.amplitude'" in err and not out.exists()
+    else:
+        assert "blow-up guard tripped at t=0" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_refuses_a_huge_amplitude_before_its_output(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 2, "N": 16}))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(path), "--out", str(out), "--axis", "amplitude",
+                 "--values", "1", "1e308"])
+    err = capsys.readouterr().err
+    assert code == 2 and "amplitude=1e308" in err and "'initial.amplitude'" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:field has spectral content beyond:UserWarning")
+def test_non_converging_report_is_strict_json(tmp_path, capsys):
+    # finite u0 norms, overflowing iterates: exit 4 with NaN residuals, once
+    # written as the NaN literal that strict JSON (and `read_json`) refuses
+    doc = {**SMALL, "initial": {"kind": "random_divfree", "amplitude": 1e150}}
+    code, _, out = _run(tmp_path, "picard", doc, capsys)
+    assert code == 4
+    report = read_json(out / "picard_report.json")
+    assert report["converged"] is False and "nan" in report["residuals"]
+    read_json(out / "manifest.json")
 
 
 # Every int and float parameter of every check at 0 and -1, and a float at

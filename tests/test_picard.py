@@ -186,9 +186,10 @@ def test_sweep_matches_full_spectrum_reference(case):
 
 @pytest.mark.filterwarnings(COVERAGE_WARNING)
 def test_sweep_memory_per_output_time():
-    """Peak traced memory grows by at most 1 full state per output time
-    from 2x2 to 8x4 nodes (the full-spectrum reference grows by 5.8, and
-    1.20 when the last pass kept its states for the trajectory)."""
+    """Peak traced memory grows by at most half a full state per output
+    time from 2x2 to 8x4 nodes (the full-spectrum reference grows by 5.8,
+    1.20 when the last pass kept its states for the trajectory, and 0.75
+    with the correction stack on both k and -k of the kept modes)."""
 
     def peak(panels, nodes_per_panel):
         cfg = picard_cfg(picard=PicardParams(max_iter=2, panels=panels,
@@ -204,16 +205,16 @@ def test_sweep_memory_per_output_time():
     peak(2, 2)  # warm-up: dyadic family, wavevector tables
     state = 3 * 16**3 * 16  # bytes of one complex velocity spectrum at N = 16
     per_output = (peak(8, 4) - peak(2, 2)) / ((8 * 4 + 1) - (2 * 2 + 1)) / state
-    assert per_output <= 1.0
+    assert per_output <= 0.5
 
 
 @pytest.mark.filterwarnings(COVERAGE_WARNING)
 def test_sweeps_hold_one_correction_stack(monkeypatch):
     """Traced memory held as each node's nonlinearity starts is the same in
-    every sweep: the iterate is one correction stack on the 2/3-rule modes,
+    every sweep: the iterate is one correction stack on the 2/3 rule's cube,
     and the stack a sweep replaces is freed, not kept alive by a view."""
     import lanslab.picard as picard
-    from lanslab.grid import kept_modes
+    from lanslab.grid import cube_modes
 
     held = []
     original = picard.nonlinearity_V
@@ -233,7 +234,7 @@ def test_sweeps_hold_one_correction_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     per_sweep = np.array(held).reshape(3, 4)
-    stack = 5 * 3 * kept_modes(cfg.grid)[0].size * 16  # bytes of the correction
+    stack = 5 * 3 * cube_modes(cfg.grid)[0].size * 16  # bytes of the correction
     assert np.all(np.abs(per_sweep - per_sweep[0]) <= stack / 4)
     # u0, the correction, the node forcing and the node's state
     state = 3 * 16**3 * 16

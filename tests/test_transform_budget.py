@@ -142,6 +142,25 @@ def test_solve_makes_no_c2c_transform(counted):
     assert counted == []
 
 
+def test_solve_besov_rows_take_no_real_transform_or_forward(counted, monkeypatch):
+    # a row norms the state's spectrum completed from the cube: 4 stages of
+    # one inverse and one forward real transform per step, u0's forward
+    # and the final state's inverse, and per row one block evaluation (5
+    # inverses at N = 16) and no forward transform; a row taken from real
+    # samples added an inverse real transform and a c2c forward
+    real = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(_fft, name)
+        monkeypatch.setattr(_fft, name, lambda *a, _o=original: real.append(1) or _o(*a))
+    cfg = SolverConfig(n=3, N=16, T=0.04, dt=5e-3)
+    counted.clear()
+    traj = solve_ivp(cfg.initial_field(), cfg, sample_stride=0, besov_stride=3)
+    rows = len(traj.series["besov_step"])
+    assert (cfg.steps, rows) == (8, 4)
+    assert len(real) == 8 * cfg.steps + 2
+    assert counted == [5 * cfg.grid.npoints] * rows
+
+
 def test_picard_trajectory_norms_are_memoized(counted, monkeypatch):
     import lanslab.picard as picard
 
@@ -156,11 +175,13 @@ def test_picard_trajectory_norms_are_memoized(counted, monkeypatch):
     )
     assert cfg.besov.p == cfg.besov.p_tilde
     traj, _ = picard_solve(cfg.initial_field(), cfg)
-    # after the last quadrature, one block evaluation (5 inverses at N = 16)
-    # per output time for its auxiliary norm, whose block norms its base
-    # norm reuses at the same p, and one for u0's base norm
+    # u0's forward transform, then one block evaluation (5 inverses at
+    # N = 16) for its base and auxiliary norms, which its base norm in the
+    # trajectory reuses; after the last quadrature, one per output time for
+    # its auxiliary norm, whose block norms its base norm reuses at the same p
     outputs = 2 * 2 + 1
-    assert counted[marks[-1]:] == [5 * cfg.grid.npoints] * (outputs + 1)
+    assert counted[:2] == [3 * cfg.grid.npoints, 5 * cfg.grid.npoints]
+    assert counted[marks[-1]:] == [5 * cfg.grid.npoints] * outputs
     assert len(traj.series["besov_base"]) == outputs + 1
 
 
