@@ -1,7 +1,8 @@
 """Command-line runner: solve, picard, verify, sweep, lp-analyze.
 
 Exit codes: 0 success, 2 configuration/suite error, 3 blow-up,
-4 fixed-point non-convergence, 5 failing verification check.
+4 fixed-point non-convergence, 5 failing verification check (a check's
+blow-up is its failing entry, and the suite runs on).
 
 Outputs are deterministic: identical config + seed produce byte-identical
 CSV/JSON data files (the manifest also records wall-clock timings, which
@@ -269,6 +270,12 @@ def _suite_entry(where, entry, seed):
     return cid, params
 
 
+def _unrun_record(cid, params, status, exc, **extra):
+    """The failing report entry of a check that `exc` stopped."""
+    return {"check_id": cid, "params": params, "status": status, "reason": str(exc), **extra,
+            "pass": False}
+
+
 def cmd_verify(args):
     from .checks import run_check
 
@@ -290,14 +297,9 @@ def cmd_verify(args):
             rep = run_check(cid, params)
             record = rep.to_dict()
         except ParameterGateError as exc:
-            record = {
-                "check_id": cid,
-                "params": params,
-                "status": "rejected",
-                "reason": str(exc),
-                "condition": exc.condition,
-                "pass": False,
-            }
+            record = _unrun_record(cid, params, "rejected", exc, condition=exc.condition)
+        except BlowUpError as exc:  # the check's failing entry; the suite goes on
+            record = _unrun_record(cid, params, "blow-up", exc)
         elapsed = time.perf_counter() - t0
         manifest.data["timings_s"][f"checks[{i}] {cid}"] = elapsed
         ok = record.get("pass", False)
@@ -504,7 +506,10 @@ def main(argv=None):
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"argument --threads: {args.threads} is not a positive integer")
         _fft.set_workers(args.threads if args.threads is not None else _fft.workers_from_env())
-        return args.fn(args)
+        # one floating-point policy: an overflow or NaN is reported by the
+        # guard that meets it (blow-up, non-finite norm), not by numpy
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

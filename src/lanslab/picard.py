@@ -15,14 +15,15 @@ and membership in the contraction ball ||u - Gamma u0||_{0;r,p,q} +
 the admissibility conditions below (the b-bar = 1 reduction); the checker
 rejects violations with a structured error.
 
-Every iterate is e^{t nu Lap} u0 minus a Duhamel correction, and P[V(u)]
-vanishes off the modes the 2/3 rule keeps, so the iterate is held as one
-correction stack on the stepper's cube (`grid.cube_modes`, completed by
-`grid.on_cube`); so are the residual's difference and u - e^{t nu Lap} u0,
-normed there by `DyadicFamily.kept_besov_norms`.  One pass over the output
-times then forms each state once for its auxiliary norm and for the next
-sweep's forcing, or, in the last sweep (known by then), for its base norm,
-and drops it.  Gamma u0 gets the same pass before the first sweep.
+u0's norms are checked on the data as given (`initial_spectrum`); then
+u0 is cut to the 2/3 rule's cube (`grid.cube_modes`), as `solve` cuts it.
+P[V(u)] vanishes off the cube too, so every iterate state is
+e^{t nu Lap} u0 minus one Duhamel correction on the cube, and every norm
+of a run (a state's, the residual's difference, u - e^{t nu Lap} u0) is
+taken there by `DyadicFamily.kept_besov_norms`.  A lattice state
+(`grid.on_cube`) is formed only as the nonlinearity's input at a node of a
+non-final pass, and once for u(T).  The last sweep is known before its
+pass, which takes the base norms instead of the forcing.
 """
 
 import math
@@ -34,7 +35,7 @@ from .dyadic import BesovIndex, build_dyadic_family
 from .dynamics import nonlinearity_V
 from .errors import AdmissibilityError, ConfigError
 from .fields import SpectralField, to_spectral
-from .grid import at_cube, cube_modes, ksq, on_cube
+from .grid import at_cube, ksq, on_cube
 from .operators import stokes_project
 from .quadrature import duhamel_on_nodes, make_time_grid
 from .solver import Trajectory
@@ -112,8 +113,7 @@ def initial_spectrum(u0, cfg):
     u0 = to_spectral(u0)
     family, bz = build_dyadic_family(u0.grid), cfg.besov
     for idx in (BesovIndex(bz.r, bz.p, bz.q), BesovIndex(bz.s, bz.p_tilde, bz.q)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = family.besov_norm(u0, idx)
+        norm = family.besov_norm(u0, idx)
         if not math.isfinite(norm):
             raise ConfigError(f"config key 'initial.amplitude': the initial data's Besov norm "
                               f"(s={idx.s}, p={idx.p}, q={idx.q}) is {norm}, not finite")
@@ -125,16 +125,17 @@ def picard_solve(u0, cfg):
 
     u0 is taken as given, divergence-free as every `InitialSpec` kind is;
     unlike `solve_ivp`, this does not project it.  A u0 whose base or
-    auxiliary norm is not finite raises ConfigError (`initial_spectrum`).
+    auxiliary norm is not finite raises ConfigError (`initial_spectrum`);
+    past that check u0 is cut to the cube, its modes beyond N/3 dropped.
 
     Returns (Trajectory, PicardReport); `converged` is False when the
     residual fails to fall below cfg.picard.tol within cfg.picard.max_iter
     sweeps (the usual signal that the horizon is too long for this data).
     The trajectory holds the last iterate at T (a SpectralField) and, in
-    `series`, the base Besov norm of u0 and of the last iterate at every
-    output time ("besov_t", "besov_base"), the shape `solve_ivp` returns
-    with sample_stride = 0.  Between sweeps the correction stack and the
-    next sweep's forcing are held; a pass holds one state at a time.
+    `series`, the base Besov norm of the cut u0 and of the last iterate at
+    every output time ("besov_t", "besov_base"), the shape `solve_ivp`
+    returns with sample_stride = 0.  Between sweeps the correction stack
+    and the next sweep's forcing are held, both on the cube.
     """
     grid = cfg.grid
     bz = cfg.besov
@@ -147,43 +148,40 @@ def picard_solve(u0, cfg):
     tg = make_time_grid(cfg.T, pp.panels, pp.nodes_per_panel, pp.grading)
     out_times = np.append(tg.flat_nodes, cfg.T)
     weights = out_times**a
-    k2 = ksq(grid)
+    k2 = at_cube(grid, ksq(grid))
     nu = cfg.nu
-    state_shape = (grid.n,) + cube_modes(grid)[0].shape  # of the correction and the forcing
-    u0 = initial_spectrum(u0, cfg)
+    u0 = at_cube(grid, initial_spectrum(u0, cfg).coeffs)
 
     def state_pass(corr, last):
-        """Form each iterate state e^{t nu Lap} u0 - corr once and take its
-        auxiliary norm; then write the node's forcing P V(u) on the cube (T
-        itself is not a node) or, in the last sweep, take its base norm (at
-        p = p~ from the same block norms) and drop it.  Returns (auxiliary
-        norms, forcing, base norms, state at T): the last sweep has no
-        forcing, an earlier one neither base norms nor a state."""
+        """Take each iterate state e^{t nu Lap} u0 - corr's auxiliary norm
+        on the cube; then write the node's forcing P V(u) on the cube (T
+        itself is not a node) or, in the last sweep, take its base norm.
+        Returns (auxiliary norms, forcing, base norms, state at T): the last
+        sweep has no forcing, an earlier one neither base norms nor a state."""
         aux, base = [], []
-        forc = None if last else np.empty((tg.flat_nodes.size,) + state_shape, complex)
+        forc = None if last else np.empty((tg.flat_nodes.size,) + u0.shape, complex)
+        indices = (idx_aux, idx_base) if last else (idx_aux,)
         for i, t in enumerate(out_times):
-            coeffs = np.exp((-nu * t) * k2) * u0.coeffs
-            coeffs -= on_cube(grid, corr[i])
-            u = SpectralField(grid, coeffs)
-            aux.append(family.besov_norm(u, idx_aux))
-            if last:
-                base.append(family.besov_norm(u, idx_base))
-            elif i < len(forc):
-                V = stokes_project(nonlinearity_V(u, cfg.alpha), cfg.alpha).coeffs
-                forc[i] = at_cube(grid, V)
+            values = np.exp((-nu * t) * k2) * u0 - corr[i]
+            norms = family.kept_besov_norms(values, *indices)
+            aux.append(norms[0])
+            base += norms[1:]
+            if not last and i < len(forc):
+                V = nonlinearity_V(SpectralField(grid, on_cube(grid, values)), cfg.alpha)
+                forc[i] = at_cube(grid, stokes_project(V, cfg.alpha).coeffs)
                 del V  # freed before the next node's nonlinearity runs
-        return np.array(aux), forc, base, u if last else None
+        final = SpectralField(grid, on_cube(grid, values)) if last else None
+        return np.array(aux), forc, base, final
 
     # the iterate is gamma = e^{t nu Lap} u0 minus this correction
-    corr = np.zeros((len(out_times),) + state_shape, dtype=complex)
+    corr = np.zeros((len(out_times),) + u0.shape, dtype=complex)
     gamma_aux, forc, _, _ = state_pass(corr, last=False)
     weighted_gamma = float(np.max(weights * gamma_aux))
     ball = pp.ball_radius if pp.ball_radius is not None else 2.0 * weighted_gamma
 
     residuals, ratios, membership, membership_ok = [], [], [], []
     for sweeps in range(1, pp.max_iter + 1):
-        new = duhamel_on_nodes(forc.reshape(tg.nodes.shape + forc.shape[1:]), tg, nu,
-                               at_cube(grid, k2), out_times)
+        new = duhamel_on_nodes(forc.reshape(tg.nodes.shape + forc.shape[1:]), tg, nu, k2, out_times)
         del forc
         # the residual's difference is corr - new and u - gamma is -new, both
         # on the cube
@@ -220,7 +218,7 @@ def picard_solve(u0, cfg):
         membership_ok=membership_ok,
     )
     series = {"besov_t": np.concatenate([[0.0], out_times]),
-              "besov_base": np.array([family.besov_norm(u0, idx_base), *base])}
+              "besov_base": np.array(family.kept_besov_norms(u0, idx_base) + base)}
     return Trajectory(times=[cfg.T], fields=[final], series=series), report
 
 

@@ -9,7 +9,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from lanslab.errors import ConfigError
 from lanslab.solver import SolverConfig, config_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 VALID_SUITE = {
     "checks": [
@@ -170,7 +174,7 @@ NAN_PROBES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(NAN_PROBES))
 def test_nan_ratio_fails_the_report_with_nan_constant(tmp_path, capsys, case):
     cid, params = NAN_PROBES[case]
@@ -192,13 +196,14 @@ def test_nan_ratio_fails_the_report_with_nan_constant(tmp_path, capsys, case):
 # (exit 1) or exited 0 or 4 with NaN in its output.
 SMALL = {"n": 2, "N": 8, "T": 0.01, "dt": 0.005}
 AMPLITUDE_PROBES = {
-    # the L^2 norm at t = 0 is not finite: the blow-up guard, exit 3
+    # the L^2 norm at t = 0 is not finite: the blow-up guard, exit 3; in a
+    # verify suite the guard's message is the check's failing entry, exit 5
     "solve_taylor_green": ("solve", {"initial": {"kind": "taylor_green", "amplitude": 1e308}}, 3),
     "verify_energy_monotone": (
         "verify",
         {"checks": [{"id": "energy_monotone",
                      "params": {"n": 2, "N": 16, "T": 0.01, "amplitude": 1e308}}]},
-        3,
+        5,
     ),
     # the samples overflow as the amplitude scales them
     "solve_random_band": ("solve", {"initial": {"kind": "random_band", "amplitude": 1e308}}, 2),
@@ -209,7 +214,6 @@ AMPLITUDE_PROBES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(AMPLITUDE_PROBES))
 def test_huge_amplitude_ends_in_an_exit_code(tmp_path, capsys, case):
     command, update, want = AMPLITUDE_PROBES[case]
@@ -218,11 +222,58 @@ def test_huge_amplitude_ends_in_an_exit_code(tmp_path, capsys, case):
     assert code == want, err
     if want == 2:
         assert "'initial.amplitude'" in err and not out.exists()
+    elif want == 5:
+        (record,) = read_json(out / "verify_report.json")["checks"]
+        assert record["status"] == "blow-up" and record["pass"] is False
+        assert "blow-up guard tripped at t=0" in record["reason"]
     else:
         assert "blow-up guard tripped at t=0" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_in_a_check_leaves_the_suite_running(tmp_path, capsys):
+    blowing_up = {"n": 2, "N": 16, "T": 0.01, "amplitude": 1e5}
+    suite = {"checks": [{"id": "k2_tail", "params": {"r": 2.5}},
+                        {"id": "energy_monotone", "params": blowing_up},
+                        {"id": "k2_tail", "params": {"r": 2.5}}]}
+    code, _, out = _run(tmp_path, "verify", suite, capsys)
+    assert code == 5
+    report = read_json(out / "verify_report.json")
+    first, blown, third = report["checks"]
+    assert first["pass"] is True and third["pass"] is True and report["all_pass"] is False
+    assert blown == {"check_id": "energy_monotone", "params": blowing_up, "status": "blow-up",
+                     "reason": blown["reason"], "pass": False}
+    assert blown["reason"].startswith("blow-up guard tripped at t=")
+    assert "checks[2] k2_tail" in read_json(out / "manifest.json")["timings_s"]
+
+
+# The same probes as commands of a fresh interpreter, and a picard run whose
+# iterates overflow (finite u0 norms, exit 4): stderr holds lanslab's own
+# `error:` lines only, no numpy RuntimeWarning ahead of the guard's message.
+STDERR_PROBES = {
+    **AMPLITUDE_PROBES,
+    "picard_overflowing_iterates": (
+        "picard", {"initial": {"kind": "random_divfree", "amplitude": 1e150}}, 4
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDERR_PROBES))
+def test_stderr_holds_only_lanslab_lines(tmp_path, case):
+    command, update, want = STDERR_PROBES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(update if command == "verify" else {**SMALL, **update}))
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lanslab", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert done.returncode == want, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert all(line.startswith("error: ") for line in done.stderr.splitlines()), done.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_refuses_a_huge_amplitude_before_its_output(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"n": 2, "N": 16}))
@@ -234,7 +285,7 @@ def test_sweep_refuses_a_huge_amplitude_before_its_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:field has spectral content beyond:UserWarning")
 def test_non_converging_report_is_strict_json(tmp_path, capsys):
     # finite u0 norms, overflowing iterates: exit 4 with NaN residuals, once
@@ -262,8 +313,9 @@ PARAMETER_PROBES = sorted(
 
 
 # A 1e300 exponent overflows numpy powers to inf, which a report reads as a
-# failing ratio; those RuntimeWarnings are the probe's, not a finding.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# failing ratio.  Under `cli.main`'s floating-point policy numpy stays quiet
+# about it: a RuntimeWarning that got out would fail the probe.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cid, key, value", PARAMETER_PROBES)
 def test_parameter_probe_ends_in_an_exit_code(tmp_path, cid, key, value):
     spec = check_parameters(cid)

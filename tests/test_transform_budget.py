@@ -176,12 +176,13 @@ def test_picard_trajectory_norms_are_memoized(counted, monkeypatch):
     assert cfg.besov.p == cfg.besov.p_tilde
     traj, _ = picard_solve(cfg.initial_field(), cfg)
     # u0's forward transform, then one block evaluation (5 inverses at
-    # N = 16) for its base and auxiliary norms, which its base norm in the
-    # trajectory reuses; after the last quadrature, one per output time for
-    # its auxiliary norm, whose block norms its base norm reuses at the same p
+    # N = 16) for its base and auxiliary norms on the data as given
+    # (`initial_spectrum`); every later norm, the trajectory's included, is
+    # a Parseval sum on the cube, so the last quadrature is followed by no
+    # transform at all
     outputs = 2 * 2 + 1
     assert counted[:2] == [3 * cfg.grid.npoints, 5 * cfg.grid.npoints]
-    assert counted[marks[-1]:] == [5 * cfg.grid.npoints] * outputs
+    assert counted[marks[-1]:] == []
     assert len(traj.series["besov_base"]) == outputs + 1
 
 
@@ -199,9 +200,7 @@ def test_picard_sweep_budget(counted, monkeypatch):
         picard=PicardParams(tol=1e-300, max_iter=3, panels=2, nodes_per_panel=2),
     )
     picard_solve(cfg.initial_field(), cfg)
-    # from one quadrature to the next: the five new iterates' auxiliary
-    # norms (6 inverses each; the residual and the correction are normed on
-    # the kept modes by Parseval) and the next sweep's four nonlinearities
-    # (19 each); 170 with every difference scattered and transformed
+    # from one quadrature to the next: the next sweep's four nonlinearities
+    # (19 each); every norm is a Parseval sum on the cube
     assert len(marks) == 3
-    assert marks[2] - marks[1] <= (5 * 6 + 4 * 19) * NPTS
+    assert marks[2] - marks[1] <= 4 * 19 * NPTS
