@@ -116,12 +116,21 @@ def ifftn(a, nax, *, overwrite=False):
     return _pfft.c2c(a, _axes(a, nax), False, _INVERSE, out, _workers)
 
 
+def cube_ends(N):
+    """The slices k = 0..N//3 and -N//3..-1 that hold the cube along an
+    axis of the lattice, in a cube and in an axis of N points alike."""
+    kc = N // 3
+    return np.s_[: kc + 1], np.s_[-kc:]
+
+
 def rfftn(a, nax):
     """The spectra of the real fields `a` on the cube of their trailing
-    `nax` axes."""
+    `nax` axes; for nax = 1 a view of the r2c output, cut to the cube."""
     first, kc = a.ndim - nax, a.shape[-1] // 3
-    ends = (np.s_[: kc + 1], np.s_[-kc:])  # k = 0..kc and -kc..-1, in lattice and cube alike
+    ends = cube_ends(a.shape[-1])
     half = _pfft.r2c(a, (a.ndim - 1,), True, _FORWARD, None, _workers)[..., : kc + 1]
+    if nax == 1:
+        return half
     for i in range(nax - 1):  # along axis first + i, the cube's lines of the axes before it
         for before in itertools.product(ends, repeat=i):
             view = half[(..., *before) + (slice(None),) * (nax - i)]
@@ -134,10 +143,12 @@ def rfftn(a, nax):
 
 def irfftn(a, shape):
     """The real fields on the grid `shape` whose spectra on its cube are
-    `a`; the leading extents of `shape` are those of a's trailing axes."""
+    `a`; the leading extents of `shape` are those of a's trailing axes.
+    Those axes of `a` but the last may also span the lattice (N): only
+    the cube's lines (`cube_ends`) are read."""
     nax, N = len(shape), shape[-1]
     first, kc = a.ndim - nax, N // 3
-    ends = (np.s_[: kc + 1], np.s_[-kc:])
+    ends = cube_ends(N)
     full = np.zeros(a.shape[:first] + shape[:-1] + (N // 2 + 1,), complex)
     half = full[..., : kc + 1]
     for block in itertools.product(ends, repeat=nax - 1):

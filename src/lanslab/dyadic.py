@@ -81,6 +81,11 @@ class DyadicFamily:
     `dyadic_norm` or `block_profile` calls on the same field at the same p
     reuse it, and the coverage check runs once per field.
 
+    The tables are held per distinct lattice radius, with one index map
+    from lattice points to radii; each use gathers the lattice table it
+    needs.  The attributes below are gathered on every access, as
+    read-only arrays.
+
     Attributes
     ----------
     psi_hat : (j_max+1, N, ..., N) annular symbols
@@ -103,38 +108,44 @@ class DyadicFamily:
         # block reusing the same floating-point table values.  The cutoff
         # is evaluated once per distinct lattice radius (464 of 32768 at
         # n = 3, N = 32) and gathered: the same arithmetic per element, so
-        # the tables are bitwise those of a per-point build, without its
-        # 64 quadrature nodes per lattice point.
+        # the gathered tables are bitwise those of a per-point build,
+        # without its 64 quadrature nodes per lattice point.
         radii, where = np.unique(kmag(grid), return_inverse=True)
-        per_radius = np.stack([smooth_cutoff(radii * 2.0 ** (-m)) for m in range(-1, j_max + 1)])
-        cumulative = per_radius[:, where.reshape(grid.shape)]
-        self.s_hat = cumulative
-        self.low_hat = cumulative[0]
-        self.psi_hat = cumulative[1:] - cumulative[:-1]
-        for arr in (self.s_hat, self.psi_hat):
-            arr.setflags(write=False)
+        self._radius = where.reshape(grid.shape)  # intp: np.take gathers fastest with it
+        cumulative = np.stack([smooth_cutoff(radii * 2.0 ** (-m)) for m in range(-1, j_max + 1)])
+        self._cumulative, self._annular = cumulative, cumulative[1:] - cumulative[:-1]
+
+    def _gather(self, per_radius):
+        """The read-only lattice table (..., N, ..., N) of the per-radius table (..., radii)."""
+        table = np.take(per_radius, self._radius, axis=-1)
+        table.setflags(write=False)
+        return table
+
+    s_hat = property(lambda self: self._gather(self._cumulative))
+    low_hat = property(lambda self: self._gather(self._cumulative[0]))
+    psi_hat = property(lambda self: self._gather(self._annular))
 
     # -- block operators ------------------------------------------------
 
-    def _apply_table(self, table, f):
-        return like(f, to_spectral(f).coeffs * table)
+    def _apply_table(self, per_radius, f):
+        return like(f, to_spectral(f).coeffs * self._gather(per_radius))
 
     def delta_j(self, f, j):
         """Annular block Delta_j f."""
         if not 0 <= j <= self.j_max:
             raise ValueError(f"block index {j} outside [0, {self.j_max}]")
-        return self._apply_table(self.psi_hat[j], f)
+        return self._apply_table(self._annular[j], f)
 
     def low_pass(self, f):
         """Low-frequency piece Psi * f."""
-        return self._apply_table(self.low_hat, f)
+        return self._apply_table(self._cumulative[0], f)
 
     def s_j(self, f, j):
         """Partial sum through block j (j = -1 is the low-pass alone,
         j < -1 gives zero)."""
         if j < -1:
             return like(f, np.zeros((f.ncomp,) + self.grid.shape, dtype=np.complex128))
-        return self._apply_table(self.s_hat[min(j, self.j_max) + 1], f)
+        return self._apply_table(self._cumulative[min(j, self.j_max) + 1], f)
 
     def block_samples(self, f):
         """All blocks at once: (low, blocks), real samples of shape (ncomp, ...):
@@ -157,13 +168,13 @@ class DyadicFamily:
         stack = np.empty((pairs * ncomp + odd * half,) + grid.shape, dtype=complex)
         table = np.empty(grid.shape, dtype=complex)
         for m in range(pairs):
-            table.real, table.imag = self.psi_hat[2 * m], self.psi_hat[2 * m + 1]
+            table.real, table.imag = self._gather(self._annular[2 * m : 2 * m + 2])
             np.multiply(F, table, out=stack[m * ncomp : (m + 1) * ncomp])
         if odd:  # components c and c + half of the last block share a slot
             last = stack[pairs * ncomp :]
             last[...] = F[:half]
             last[: ncomp - half] += 1j * F[half:]
-            last *= self.psi_hat[-1]
+            last *= self._gather(self._annular[-1])
         phys = _fft.ifftn(stack, grid.n, overwrite=True)
         slots = phys[: pairs * ncomp].reshape((pairs,) + F.shape)
         blocks = [part for slot in slots for part in (slot.real, slot.imag)]
@@ -177,8 +188,11 @@ class DyadicFamily:
     @cached_property
     def _cube_tables(self):
         """psi_j^2, (1 - s_hat[-1])^2 and the Parseval weight on the cube, flattened."""
-        psi2 = at_cube(self.grid, self.psi_hat).reshape(self.j_max + 1, -1) ** 2
-        outside = (1.0 - at_cube(self.grid, self.s_hat[-1]).ravel()) ** 2
+        radius = at_cube(self.grid, self._radius).ravel()
+        # j runs fastest in memory, as in a cube table cut from the lattice:
+        # einsum's order of summation, and so its rounding, follows the layout
+        psi2 = self._annular.T[radius].T ** 2
+        outside = (1.0 - self._cumulative[-1][radius]) ** 2
         return psi2, outside, cube_weights(self.grid).ravel()
 
     def _covered_power(self, values, outside, weight):
@@ -205,9 +219,10 @@ class DyadicFamily:
         if p not in memo:
             F = to_spectral(f)
             if not memo:
-                # the weight is formed per call (a stored N^n table costs
+                # the weight is gathered per call (a stored N^n table costs
                 # more memory than it saves)
-                self._covered_power(F.coeffs, ((1.0 - self.s_hat[-1]) ** 2).ravel(), 1.0)
+                outside = self._gather((1.0 - self._cumulative[-1]) ** 2).ravel()
+                self._covered_power(F.coeffs, outside, 1.0)
             block_norms = np.array([lp_norm(b, p) for b in self.block_samples(F)[1]])
             block_norms.setflags(write=False)
             mean = F.coeffs.reshape(F.ncomp, -1)[:, 0].real

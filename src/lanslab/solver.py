@@ -16,6 +16,7 @@ coefficient convention of `_fft`; `to_state` drops the modes beyond it.
 suites and `lp-analyze --indices`; all three call `check_range`.
 """
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from types import UnionType
@@ -349,34 +350,53 @@ class SpectralStepper:
         The advective term is evaluated in convective form (u.grad)u, which
         coincides with div(u (x) u) to round-off here: the state lives on
         the 2/3 rule's cube, so products are alias-free on it, and the
-        state is exactly divergence-free.  One batch of n + n^2 inverse
-        transforms gives u and J = grad u, one batch of forward transforms
-        the convective term and the stress product (J + J^T)(J - J^T).
+        state is exactly divergence-free.  The n + n^2 transforms of u and
+        J = grad u and the forward transforms of the convective term and
+        the stress product (J + J^T)(J - J^T) share one buffer, which spans
+        the lattice along every axis but the last and the cube along it.
+        The inverse pass along x0 runs once; then each x0-slab goes to real
+        space (`_fft.irfftn`), and the forward transform of its products
+        along the last axis (`_fft.rfftn`) is written back over it; the
+        forward passes along the other axes follow.  Pass for pass and line
+        for line these are the transforms of the whole stacks, so the
+        result is bitwise theirs.
         """
         n, shape = self.grid.n, self.shape
         spec = state.shape[1:]
-        grad = np.empty((n + n * n,) + spec, dtype=complex)
-        grad[:n] = state
-        np.multiply(self.ik[None], state[:, None], out=grad[n:].reshape((n, n) + spec))
-        phys = _fft.irfftn(grad, shape)
-        del grad
-        u, jac = phys[:n], phys[n:].reshape((n, n) + shape)
-        flux = np.empty((n + n * n if self.alpha > 0 else n,) + shape)
-        conv, prod = flux[:n], flux[n:].reshape((-1, n) + shape)
+        ends = _fft.cube_ends(shape[-1])
+        blocks = [(..., *b, slice(None)) for b in itertools.product(ends, repeat=n - 1)]
+        buf = np.zeros((n + n * n,) + shape[:-1] + spec[-1:], dtype=complex)
+        tensor = buf[n:].reshape((n, n) + buf.shape[1:])  # grad u, later the stress product
+        for b in blocks:
+            buf[:n][b] = state[b]
+            np.multiply(self.ik[b][None], state[b][:, None], out=tensor[b])
+        for after in itertools.product(ends, repeat=n - 2):  # along x0, the lines that carry data
+            _fft.ifftn(np.moveaxis(buf[(..., slice(None), *after, slice(None))], -n, -1), 1,
+                       overwrite=True)
+        count = n + n * n if self.alpha > 0 else n
         for part in _slabs(shape):
-            J = jac[:, :, part]
-            np.einsum("j...,ij...->i...", u[:, part], J, out=conv[:, part])
+            phys = _fft.irfftn(buf[:, part], shape[1:])
+            u, jac = phys[:n], phys[n:].reshape((n, n) + phys.shape[1:])
+            flux = np.empty((count,) + phys.shape[1:])
+            np.einsum("j...,ij...->i...", u, jac, out=flux[:n])
             if self.alpha > 0:
-                _stress_product(J, prod[:, :, part])
-        # the views go with their bases: J of phys, conv and prod of flux
-        del phys, u, jac, J
-        fwd = _fft.rfftn(flux, n)
-        del flux, conv, prod
-        vhat = fwd[:n]
+                _stress_product(jac, flux[n:].reshape(jac.shape))
+            buf[:count, part] = _fft.rfftn(flux, 1)
+        del phys, u, jac, flux  # the last slab's temporaries
+        for i in range(n - 1):  # along x_i, the cube's lines of the axes before it
+            for before in itertools.product(ends, repeat=i):
+                _fft.fftn(np.moveaxis(buf[(slice(count), *before)], i + 1, -1), 1, overwrite=True)
+
+        def gather(stack):  # one field set at a time: at N = 64 a gathered flux would be 7.8 MB
+            out = np.empty(stack.shape[:1] + spec, dtype=complex)
+            for b in blocks:
+                out[b] = stack[b]
+            return out
+
+        vhat = gather(buf[:n])
         if self.alpha > 0:
-            tau = fwd[n:].reshape((n, n) + spec)
             for j in range(n):
-                vhat += self.ik_tau[j] * tau[:, j]
+                vhat += self.ik_tau[j] * gather(tensor[:, j])
         return -self.project(vhat)
 
     def step(self, state):
@@ -447,12 +467,13 @@ def solve_ivp(u0, cfg, sample_stride=None, besov_stride=0):
         t_series[i] = t
         for key, value in zip(cols, diag):
             cols[key][i] = value
-        if i == nsteps or (sample_stride > 0 and i % sample_stride == 0):
-            times.append(t)
-            fields.append(stepper.to_field(state))
+        # the row first: its lattice spectrum and blocks are gone before the field is formed
         if besov_idx is not None and (i % besov_stride == 0 or i == nsteps):
             f = SpectralField(grid, on_cube(grid, state))
             besov_rows.append((i, t, *(family.besov_norm(f, idx) for idx in besov_idx)))
+        if i == nsteps or (sample_stride > 0 and i % sample_stride == 0):
+            times.append(t)
+            fields.append(stepper.to_field(state))
 
     for i in range(nsteps + 1):
         if i:

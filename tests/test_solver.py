@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from lanslab import _fft
-from lanslab.dynamics import nonlinearity_V, semigroup_apply
+from lanslab import _fft, dyadic
+from lanslab.dynamics import _slabs, nonlinearity_V, semigroup_apply
 from lanslab.errors import BlowUpError, ConfigError
 from lanslab.fields import VectorField, l2_norm, random_divergence_free, taylor_green, zero_field
 from lanslab.grid import Grid, coordinates
@@ -249,11 +249,14 @@ def test_nonlinear_matches_slow_path(n, N, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("n,N", [(2, 16), (2, 32), (3, 16), (3, 32)])
+@pytest.mark.parametrize("n,N", [(2, 16), (2, 32), (2, 128), (3, 16), (3, 32)])
 def test_kernel_and_step_bitwise_equal_to_half_spectrum_stepper(n, N, alpha):
     # on states zero beyond the cube the half-spectrum stepper sees the
     # same numbers: its own transforms restricted to the cube, its kept
-    # modes gathered and scattered, and zeros elsewhere
+    # modes gathered and scattered, and zeros elsewhere.  The kernel
+    # streams x0-slabs of about 4096 points per field: 4 at (2, 128), 8 at
+    # (3, 32), one at the other shapes
+    assert len(_slabs(Grid(n, N).shape)) == {(2, 128): 4, (3, 32): 8}.get((n, N), 1)
     grid = Grid(n, N)
     stepper = SpectralStepper(grid, alpha, 1.0, 1e-3)
     reference = HalfSpectrumStepper(grid, alpha, 1.0, 1e-3)
@@ -329,9 +332,32 @@ def test_step_temporaries():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # 11.6 MB on the half spectrum; the cube's stages and the zero-padded
-    # inverse need about 8.6 MB
-    assert peak <= 9.5e6
+    # 11.6 MB on the half spectrum, 8.6 MB with the cube's stages and four
+    # lattice-sized stacks per kernel call; the kernel's one buffer (2.2 MB)
+    # and its x0-slabs need less than 6 MB
+    assert peak <= 6.0e6
+
+
+@pytest.mark.filterwarnings("ignore:field has spectral content beyond:UserWarning")
+def test_solve_temporaries(monkeypatch):
+    # the bench's solve-n32 run: 20 steps and 5 Besov rows at N = 32, with
+    # the dyadic family built inside the window as in a fresh process
+    monkeypatch.setattr(dyadic, "build_dyadic_family", lambda grid: dyadic.DyadicFamily(grid))
+    cfg = SolverConfig(n=3, N=32, T=0.04, dt=2e-3, initial=InitialSpec("random_divfree", 0.2),
+                       csv_stride=5)
+    u0 = cfg.initial_field()
+    solve_ivp(u0, cfg, sample_stride=0, besov_stride=cfg.csv_stride)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = solve_ivp(u0, cfg, sample_stride=0, besov_stride=cfg.csv_stride)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.series["besov_step"]) == 5
+    # 12.4 MB with lattice-sized family tables, four lattice-sized stacks
+    # per kernel call and the final field formed before the last row
+    assert peak <= 9e6
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

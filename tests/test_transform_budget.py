@@ -5,6 +5,7 @@ count the points they are handed, so an edit that brings back a round trip
 (a real-space detour, one inverse per dyadic table) fails here.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -132,33 +133,63 @@ def test_duhamel_apply_transforms_each_sample_and_output_once(monkeypatch):
     assert calls == {"fftn": 9, "ifftn": 5}
 
 
-def test_solve_makes_no_c2c_transform(counted):
-    # the stepper's half-spectrum projection is the one a solve makes; a
-    # full-spectrum leray_project in front of it took 2 c2c transforms
+@pytest.fixture
+def c2c_calls(monkeypatch):
+    """(name, transformed extents, points) of each c2c transform, in call order."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(_fft, name)
+
+        def wrapper(a, nax, _original=original, _name=name, **kwargs):
+            calls.append((_name, a.shape[a.ndim - nax :], a.size))
+            return _original(a, nax, **kwargs)
+
+        monkeypatch.setattr(_fft, name, wrapper)
+    return calls
+
+
+def test_solve_makes_no_lattice_c2c_transform(c2c_calls):
+    # the stepper's projection is the one a solve makes: a full-spectrum
+    # leray_project in front of it took 2 c2c transforms of a 3 x N^n
+    # lattice stack.  The stepper's own c2c transforms are single-axis
+    # passes over its buffer, which spans the lattice along all axes but
+    # the last and the cube (N//3 + 1) along it: per kernel call 2 inverse
+    # passes along x0 and 1 forward, and 2 forward along x1
     cfg = SolverConfig(n=3, N=16, T=0.01, dt=5e-3)
     u0 = cfg.initial_field()
-    counted.clear()
+    c2c_calls.clear()
     solve_ivp(u0, cfg, sample_stride=0, besov_stride=0)
-    assert counted == []
+    assert len(c2c_calls) == 5 * 4 * cfg.steps
+    assert {shape for _, shape, _ in c2c_calls} == {(cfg.N,)}
+    buffer = 12 * cfg.N ** 2 * (cfg.N // 3 + 1)
+    assert max(points for _, _, points in c2c_calls) == buffer
 
 
-def test_solve_besov_rows_take_no_real_transform_or_forward(counted, monkeypatch):
-    # a row norms the state's spectrum completed from the cube: 4 stages of
-    # one inverse and one forward real transform per step, u0's forward
-    # and the final state's inverse, and per row one block evaluation (5
-    # inverses at N = 16) and no forward transform; a row taken from real
-    # samples added an inverse real transform and a c2c forward
+def test_solve_besov_rows_take_no_real_transform_or_forward(c2c_calls, monkeypatch):
+    # a row norms the state's spectrum completed from the cube: per step 4
+    # stages of inverse real transforms of 12 fields (u and its gradient)
+    # and forward ones of 12 (the flux), u0's forward and the final state's
+    # inverse, in real-transform points (the kernel makes its real
+    # transforms per x0-slab); per row one block evaluation (5 lattice
+    # inverses at N = 16) and no forward lattice transform.  A row taken
+    # from real samples added an inverse real transform and a c2c forward
     real = []
-    for name in ("rfftn", "irfftn"):
-        original = getattr(_fft, name)
-        monkeypatch.setattr(_fft, name, lambda *a, _o=original: real.append(1) or _o(*a))
+    rfftn, irfftn = _fft.rfftn, _fft.irfftn
+    monkeypatch.setattr(_fft, "rfftn", lambda a, nax: real.append(a.size) or rfftn(a, nax))
+    monkeypatch.setattr(
+        _fft, "irfftn",
+        lambda a, shape: real.append(a[(..., *(0,) * len(shape))].size * math.prod(shape))
+        or irfftn(a, shape),
+    )
     cfg = SolverConfig(n=3, N=16, T=0.04, dt=5e-3)
-    counted.clear()
+    npoints = cfg.grid.npoints
+    c2c_calls.clear()
     traj = solve_ivp(cfg.initial_field(), cfg, sample_stride=0, besov_stride=3)
     rows = len(traj.series["besov_step"])
     assert (cfg.steps, rows) == (8, 4)
-    assert len(real) == 8 * cfg.steps + 2
-    assert counted == [5 * cfg.grid.npoints] * rows
+    assert sum(real) == (4 * (12 + 12) * cfg.steps + 3 + 3) * npoints
+    lattice = [call for call in c2c_calls if call[1] == cfg.grid.shape]
+    assert lattice == [("ifftn", cfg.grid.shape, 5 * npoints)] * rows
 
 
 def test_picard_trajectory_norms_are_memoized(counted, monkeypatch):
